@@ -8,9 +8,10 @@
 // (naive online serving) vs micro-batches, across shard counts, plus the
 // RequestBatcher + LRU cache on Zipf-skewed traffic.
 //
-// The same stream is then replayed through GpuSimScoringBackend on two
-// device specs (Titan X, GK210): identical top-k lists, but every sweep is
-// accounted as a simulated kernel launch, yielding modeled ms per batch —
+// The same stream is then replayed through a one-device
+// MultiDeviceScoringBackend on two device specs (Titan X, GK210): identical
+// top-k lists, but every sweep is accounted as a simulated kernel launch,
+// yielding modeled ms per batch —
 // and from that, a fleet plan per device: how many GPUs, at what $/hr, to
 // serve the target load, and the qps-per-dollar each device spec buys.
 //
@@ -177,8 +178,9 @@ int main() {
   const serve::FactorStore store(x, theta, 2);
   const serve::TopKEngine cpu_engine(store);
   for (auto& run : device_runs) {
-    gpusim::Device dev(0, run.device.spec);
-    serve::GpuSimScoringBackend backend(dev, store);
+    const auto topo = gpusim::PcieTopology::flat(1);
+    gpusim::DeviceGroup group(1, run.device.spec, topo);
+    serve::MultiDeviceScoringBackend backend(group, topo);
     serve::TopKOptions opt;
     opt.user_block = kFleetBatch;
     opt.backend = &backend;
@@ -197,8 +199,8 @@ int main() {
         }
       }
     }
-    dev.reset_counters();
-    dev.reset_clock();
+    group[0].reset_counters();
+    group[0].reset_clock();
 
     const serve::TopKEngine engine(store, opt);
     const RunResult r = run_stream(engine, stream, kFleetBatch);
@@ -240,7 +242,7 @@ int main() {
     for (const int p : {1, 2, 4}) {
       const auto topo = gpusim::PcieTopology::flat(p);
       gpusim::DeviceGroup group(p, run.device.spec, topo);
-      serve::MultiDeviceScoringBackend backend(group, topo, mdstore);
+      serve::MultiDeviceScoringBackend backend(group, topo);
       serve::TopKOptions opt;
       opt.user_block = kFleetBatch;
       opt.backend = &backend;

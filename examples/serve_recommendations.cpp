@@ -6,9 +6,9 @@
 // pitch implies.
 //
 // With a target load, it also sizes a serving fleet: the trained model is
-// replayed through GpuSimScoringBackend on each priced device spec, and the
-// cost model answers "how many GPUs, at what $/hour, to serve target_qps at
-// p99 <= p99_ms".
+// replayed through a one-device MultiDeviceScoringBackend on each priced
+// device spec, and the cost model answers "how many GPUs, at what $/hour, to
+// serve target_qps at p99 <= p99_ms".
 //
 // With --port the server stays up after the demo: the trained model keeps
 // serving over TCP (protocol: src/serve/net/protocol.hpp) until SIGINT, so a
@@ -73,8 +73,8 @@
 #include "serve/factor_store.hpp"
 #include "serve/live_store.hpp"
 #include "serve/metrics_export.hpp"
+#include "serve/multi_device_backend.hpp"
 #include "serve/net/server.hpp"
-#include "serve/scoring_backend.hpp"
 #include "serve/topk.hpp"
 #include "sparse/split.hpp"
 
@@ -339,8 +339,8 @@ int main(int argc, char** argv) {
     for (const auto& fd : costmodel::priced_serving_devices()) {
       // Replay a probe through the simulated backend: same top-k answers,
       // but every sweep is accounted on the device's roofline clock.
-      gpusim::Device dev(0, fd.spec);
-      serve::GpuSimScoringBackend backend(dev, *pinned.store);
+      gpusim::DeviceGroup group(1, fd.spec, topo);  // flat(1), as trained
+      serve::MultiDeviceScoringBackend backend(group, topo);
       serve::TopKOptions opt;
       opt.exclude_rated = &R;
       opt.user_block = kFleetBatch;

@@ -72,10 +72,9 @@ std::future<BatchedAnswer> RequestBatcher::submit(idx_t user) {
   auto fut = promise.get_future();
 
   // Bad ids fail their own future without poisoning the micro-batch they
-  // would have ridden in. In live mode the bound is the generation serving
-  // *now* (one pin per submit); a swap may still shrink the model before the
-  // batch runs, which run_batch turns into per-user failed futures rather
-  // than a crash.
+  // would have ridden in. The bound is the generation serving *now* (one pin
+  // per submit); a swap may still shrink the model before the batch runs,
+  // which run_batch turns into per-user failed futures rather than a crash.
   const idx_t bound = engine_.num_users();
   if (user < 0 || user >= bound) {
     {
@@ -103,9 +102,7 @@ std::future<BatchedAnswer> RequestBatcher::submit(idx_t user) {
     // Keep the cache's generation in step with the live store so a query
     // arriving after a swap can never be answered from superseded factors —
     // the stale entry is evicted by the get() below instead.
-    if (const auto* live = engine_.live_store()) {
-      cache_.set_generation(live->generation());
-    }
+    cache_.set_generation(engine_.live_store().generation());
     std::vector<Recommendation> cached;
     std::uint64_t cached_gen = 0;
     if (cache_.get(user, opt_.k, &cached, &cached_gen)) {
@@ -344,12 +341,11 @@ ServeStats RequestBatcher::stats() const {
   s.batch_interconnect = engine_.batch_interconnect_summary();
   s.serving_devices =
       static_cast<std::uint64_t>(engine_.backend().device_count());
-  if (const auto* live = engine_.live_store()) {
-    s.generation = live->generation();
-    s.refreshes = live->refreshes();
-    s.refresh_failures = live->refresh_failures();
-    s.swap_pause = live->swap_pause_summary();
-  }
+  const LiveFactorStore& live = engine_.live_store();
+  s.generation = live.generation();
+  s.refreshes = live.refreshes();
+  s.refresh_failures = live.refresh_failures();
+  s.swap_pause = live.swap_pause_summary();
   if (auto* slo = slo_.load(std::memory_order_acquire)) {
     const obs::HealthSnapshot h = slo->snapshot();
     s.slo.attached = true;

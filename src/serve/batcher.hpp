@@ -59,9 +59,9 @@ struct BatcherOptions {
 };
 
 /// One answered query: the ranked list plus the model generation whose
-/// factors produced it (0 = static store; a cache hit carries the generation
-/// its entry was scored under). The generation is what lets a network
-/// front-end tag responses so clients can tell a hot swap happened.
+/// factors produced it (generations count from 1; a cache hit carries the
+/// generation its entry was scored under). The generation is what lets a
+/// network front-end tag responses so clients can tell a hot swap happened.
 struct BatchedAnswer {
   std::vector<Recommendation> items;
   std::uint64_t generation = 0;

@@ -9,14 +9,15 @@
 // Thread-safe; hit/miss counters feed ServeStats.
 //
 // Entries are additionally tagged with the model *generation* whose factors
-// produced them (0 for a static store). A hot swap does not pay a global
-// clear(): bumping the cache's generation — explicitly via set_generation()
-// or implicitly by a put() carrying a newer tag — marks older entries stale,
-// and each stale entry is evicted lazily the next time it is touched (or by
-// ordinary LRU pressure). Invalidation cost is thereby spread across the
-// queries that follow the swap instead of spiking at swap time; a put()
-// tagged older than the cache's generation is dropped, so a slow batch that
-// was scored against a superseded snapshot can never poison the cache.
+// produced them (the engine's LiveFactorStore numbers them from 1). A hot
+// swap does not pay a global clear(): bumping the cache's generation —
+// explicitly via set_generation() or implicitly by a put() carrying a newer
+// tag — marks older entries stale, and each stale entry is evicted lazily
+// the next time it is touched (or by ordinary LRU pressure). Invalidation
+// cost is thereby spread across the queries that follow the swap instead of
+// spiking at swap time; a put() tagged older than the cache's generation is
+// dropped, so a slow batch that was scored against a superseded snapshot can
+// never poison the cache.
 
 #include <cstdint>
 #include <list>

@@ -10,18 +10,17 @@
 namespace cumf::serve {
 
 LiveFactorStore::LiveFactorStore(FactorStore initial)
-    : shards_(initial.num_shards()) {
-  gen_number_.store(1, std::memory_order_release);
-  current_.store(std::make_shared<const Generation>(std::move(initial), 1),
-                 std::memory_order_release);
-}
+    : LiveFactorStore(
+          std::make_shared<const FactorStore>(std::move(initial))) {}
+
+LiveFactorStore::LiveFactorStore(std::shared_ptr<const FactorStore> initial)
+    : shards_(initial->num_shards()),
+      current_{std::move(initial), 1},
+      gen_number_(1) {}
 
 LiveFactorStore::Pinned LiveFactorStore::pin() const {
-  const auto gen = current_.load(std::memory_order_acquire);
-  // Aliasing shared_ptr: callers see a FactorStore, but the pin keeps the
-  // whole (store, number) snapshot alive.
-  return Pinned{std::shared_ptr<const FactorStore>(gen, &gen->store),
-                gen->number};
+  std::lock_guard<std::mutex> lock(current_mu_);
+  return current_;
 }
 
 LiveFactorStore::RefreshOutcome LiveFactorStore::refresh_from_checkpoint(
@@ -60,42 +59,45 @@ void LiveFactorStore::set_admission_hook(AdmissionHook hook) {
 
 LiveFactorStore::RefreshOutcome LiveFactorStore::install(FactorStore next,
                                                          double load_ms) {
-  // Allocate the generation wrapper before entering the critical section so
-  // the swap pause is a number assignment plus one atomic pointer store.
-  auto gen = std::make_shared<Generation>(std::move(next), 0);
+  // Allocate the snapshot's control block before entering the critical
+  // section so the swap pause is a number assignment plus one pointer swap.
+  Pinned gen{std::make_shared<const FactorStore>(std::move(next)), 0};
 
   RefreshOutcome out;
   out.load_ms = load_ms;
   util::Stopwatch pause;
   {
     std::lock_guard<std::mutex> lock(swap_mu_);
-    const auto cur = current_.load(std::memory_order_acquire);
-    gen->number = cur->number + 1;
-    out.generation = gen->number;
+    const std::uint64_t serving = current_.generation;
+    gen.generation = serving + 1;
+    out.generation = gen.generation;
     if (admission_hook_) {
       // Admission runs before the candidate is published anywhere: a veto
       // (thrown exception) means no reader ever pinned it and the backend
       // rolled back whatever it charged — the old generation keeps serving.
       try {
-        admission_hook_(
-            std::shared_ptr<const FactorStore>(gen, &gen->store));
+        admission_hook_(gen.store);
       } catch (const std::exception& e) {
         refresh_failures_.fetch_add(1, std::memory_order_relaxed);
         out.swapped = false;
-        out.generation = cur->number;
+        out.generation = serving;
         out.swap_pause_ms = pause.milliseconds();
         out.error = e.what();
         obs::EventLog::global().record(
             obs::Severity::kWarn, obs::Component::kStore, "admission_veto",
-            {"candidate_generation", cur->number + 1},
-            {"serving_generation", cur->number});
+            {"candidate_generation", serving + 1},
+            {"serving_generation", serving});
         return out;
       }
     }
-    gen_number_.store(gen->number, std::memory_order_release);
-    current_.store(std::move(gen), std::memory_order_release);
-    // The superseded generation is not destroyed here: in-flight readers
-    // still hold pins; the last one to release drains it.
+    gen_number_.store(gen.generation, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> publish(current_mu_);
+      std::swap(current_, gen);
+    }
+    // `gen` now holds the superseded generation and is dropped on return,
+    // outside both locks. In-flight readers may still hold pins; the last
+    // one to release drains it.
   }
   out.swap_pause_ms = pause.milliseconds();
   out.swapped = true;

@@ -5,11 +5,12 @@
 // The paper's pitch is cheap, frequent retraining — but fresher factors only
 // pay off if serving can pick them up while queries are in flight. A
 // LiveFactorStore owns a sequence of immutable FactorStore *generations*
-// behind an atomically-swapped shared_ptr:
+// behind a swapped shared_ptr:
 //
-//  - readers pin(): an atomic shared_ptr load yields the current generation,
-//    and holding the returned Pinned keeps that snapshot alive for the whole
-//    query batch — no lock on the query path, no torn reads;
+//  - readers pin(): one shared_ptr copy of the current generation, under a
+//    mutex held for just that copy, and holding the returned Pinned keeps
+//    that snapshot alive for the whole query batch — no lock held while
+//    scoring, no torn reads;
 //  - writers refresh(): the next snapshot is loaded and sharded *off* the
 //    query path (refresh_from_checkpoint reuses core::CheckpointManager via
 //    FactorStore::from_checkpoint), then swapped in with a single pointer
@@ -24,7 +25,8 @@
 //
 // Swap-pause is tracked per refresh: the duration of the pointer-swap
 // critical section, which is the only moment a refresh and the stats path
-// contend. Queries never wait on it — they hold pins, not locks.
+// contend. Queries never wait on it — they hold pins, not locks; pin() can
+// wait only for the pointer swap itself.
 
 #include <atomic>
 #include <cstdint>
@@ -43,6 +45,11 @@ class LiveFactorStore {
   /// Starts serving `initial` as generation 1. Later refreshes shard their
   /// snapshots into the same number of partitions the initial store uses.
   explicit LiveFactorStore(FactorStore initial);
+  /// Starts serving an already-shared snapshot as generation 1, without
+  /// copying it. Pins hand out this same pointer; a caller-owned store can
+  /// be served by passing a non-owning pointer (no-op deleter), provided it
+  /// outlives the live store.
+  explicit LiveFactorStore(std::shared_ptr<const FactorStore> initial);
 
   LiveFactorStore(const LiveFactorStore&) = delete;
   LiveFactorStore& operator=(const LiveFactorStore&) = delete;
@@ -57,7 +64,7 @@ class LiveFactorStore {
     [[nodiscard]] const FactorStore* operator->() const { return store.get(); }
   };
 
-  /// Atomically pins the current generation. Wait-free for readers.
+  /// Pins the current generation: one pointer copy under a short lock.
   [[nodiscard]] Pinned pin() const;
 
   /// Number of the generation serving right now — a plain atomic read, no
@@ -113,21 +120,17 @@ class LiveFactorStore {
   }
 
  private:
-  struct Generation {
-    FactorStore store;
-    std::uint64_t number;
-
-    Generation(FactorStore s, std::uint64_t n)
-        : store(std::move(s)), number(n) {}
-  };
-
   RefreshOutcome install(FactorStore next, double load_ms);
 
   int shards_;
-  std::atomic<std::shared_ptr<const Generation>> current_;
-  // Mirror of current_->number; advanced (before the pointer swap, so it can
-  // only ever run ahead — the conservative direction for cache staling) so
-  // generation() never has to materialize a shared_ptr.
+  // The serving generation. Readers copy it under current_mu_; writers swap
+  // it under current_mu_ while also holding swap_mu_, so a writer may read
+  // it under swap_mu_ alone.
+  mutable std::mutex current_mu_;
+  Pinned current_;
+  // Mirror of current_.generation; advanced (before the pointer swap, so it
+  // can only ever run ahead — the conservative direction for cache staling)
+  // so generation() never has to take a lock.
   std::atomic<std::uint64_t> gen_number_{0};
   std::mutex swap_mu_;  // serializes writers; readers never take it
   AdmissionHook admission_hook_;  // guarded by swap_mu_

@@ -5,10 +5,43 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "gpusim/counters.hpp"
 #include "obs/trace.hpp"
 #include "serve/topk.hpp"
 
 namespace cumf::serve {
+
+namespace {
+
+// Analytic kernel traffic for one sweep accounted as a simulated launch:
+//
+//   flops         2·f per scored dot
+//   global_read   rows_swept · f floats — θ rows streamed contiguously
+//                 (shards are slot-contiguous in descending-norm order)
+//   gathered_read block_users · f floats — x_u rows fetched once into
+//                 on-chip storage, discontiguous by user id, via the
+//                 read-only texture path (block reuse is high, quality 1)
+//   shared_read   scored · f floats — each dot replays the cached user row
+//   global_write  block_users · k · 8 B — (item, score) heap write-back
+gpusim::KernelStats sweep_kernel_stats(const SweepTask& task,
+                                       const SweepCounters& c) {
+  const auto f = static_cast<double>(task.store->f());
+  const auto fbytes = f * sizeof(real_t);
+  const auto block_users = static_cast<double>(task.last - task.first);
+  gpusim::KernelStats stats;
+  stats.flops = 2.0 * f * static_cast<double>(c.scored);
+  stats.global_read =
+      static_cast<bytes_t>(static_cast<double>(c.rows_swept) * fbytes);
+  stats.gathered_read = static_cast<bytes_t>(block_users * fbytes);
+  stats.gathered_via_texture = true;
+  stats.shared_read =
+      static_cast<bytes_t>(static_cast<double>(c.scored) * fbytes);
+  stats.global_write =
+      static_cast<bytes_t>(block_users * static_cast<double>(task.k) * 8);
+  return stats;
+}
+
+}  // namespace
 
 bytes_t MultiDeviceScoringBackend::shard_bytes(const FactorShard& shard,
                                                int f) {
@@ -24,23 +57,9 @@ bytes_t MultiDeviceScoringBackend::replica_bytes(const FactorStore& store) {
 }
 
 MultiDeviceScoringBackend::MultiDeviceScoringBackend(
-    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo,
-    const FactorStore& store, Options opt)
+    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo)
     : devs_(group.pointers()),
       topo_(&topo),
-      opt_(opt),
-      used_bytes_(devs_.size(), 0),
-      peak_bytes_(devs_.size(), 0),
-      batch_kernel_s_(devs_.size(), 0.0) {
-  std::lock_guard<std::mutex> lock(mu_);
-  charge_locked(store, {}, /*pinned=*/true);
-}
-
-MultiDeviceScoringBackend::MultiDeviceScoringBackend(
-    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo, Options opt)
-    : devs_(group.pointers()),
-      topo_(&topo),
-      opt_(opt),
       used_bytes_(devs_.size(), 0),
       peak_bytes_(devs_.size(), 0),
       batch_kernel_s_(devs_.size(), 0.0) {}
@@ -52,8 +71,8 @@ MultiDeviceScoringBackend::~MultiDeviceScoringBackend() {
 }
 
 void MultiDeviceScoringBackend::charge_locked(
-    const FactorStore& store, std::weak_ptr<const FactorStore> alive,
-    bool pinned) {
+    const std::shared_ptr<const FactorStore>& snapshot) {
+  const FactorStore& store = *snapshot;
   const int p = static_cast<int>(devs_.size());
   const int f = store.f();
   const bytes_t replica = replica_bytes(store);
@@ -71,8 +90,7 @@ void MultiDeviceScoringBackend::charge_locked(
 
   Resident r;
   r.key = &store;
-  r.alive = std::move(alive);
-  r.pinned_for_life = pinned;
+  r.alive = snapshot;
   r.device_of_shard.assign(static_cast<std::size_t>(store.num_shards()), -1);
   r.device_bytes.assign(devs_.size(), 0);
 
@@ -179,7 +197,7 @@ void MultiDeviceScoringBackend::release_locked(const Resident& r) {
 
 void MultiDeviceScoringBackend::gc_locked() {
   std::erase_if(resident_, [this](const Resident& r) {
-    if (r.pinned_for_life || !r.alive.expired()) return false;
+    if (!r.alive.expired()) return false;
     release_locked(r);
     return true;
   });
@@ -215,7 +233,7 @@ void MultiDeviceScoringBackend::admit(
   std::lock_guard<std::mutex> lock(mu_);
   gc_locked();  // drained generations free their devices first
   if (find_locked(store.get()) != nullptr) return;
-  charge_locked(*store, store, /*pinned=*/false);
+  charge_locked(store);
 }
 
 void MultiDeviceScoringBackend::begin_batch(
@@ -237,8 +255,7 @@ SweepCounters MultiDeviceScoringBackend::sweep(
   const double begin_us = traced ? trace.now_us() : 0.0;
   const SweepCounters c = reference_sweep(task, out);
 
-  const gpusim::KernelStats stats =
-      sweep_kernel_stats(task, c, opt_.use_texture);
+  const gpusim::KernelStats stats = sweep_kernel_stats(task, c);
   int dev = 0;
   double modeled_s = 0.0;
   {

@@ -1,22 +1,34 @@
 #pragma once
 
-// Multi-device model-parallel scoring backend.
+// Simulated-device scoring backend, model-parallel across a device group.
 //
 // One simulated device caps the servable catalog at its memory capacity —
 // the same eq.-8 pressure that forces SU-ALS to partition training. This
 // backend applies the paper's multi-GPU split (figure 9) to serving: item
 // shards are partitioned across a gpusim::DeviceGroup (X is replicated on
 // every device that holds shards, Θ is scattered), each shard × user-block
-// sweep is accounted as a kernel launch on the device that owns the shard,
-// and per-device partial top-k candidates are gathered over the
-// gpusim::PcieTopology interconnect for the final scatter-gather merge in
-// the engine. Answers stay bit-identical to the single-device CPU reference
-// — only the cost axis changes, never the ranking.
+// sweep is accounted as a kernel launch on the device that owns the shard
+// (traffic derived analytically from shard size × factor rank), and
+// per-device partial top-k candidates are gathered over the
+// gpusim::PcieTopology interconnect for the final scatter-gather merge in the
+// engine. Answers stay bit-identical to the CPU reference — only the cost
+// axis changes, never the ranking. A single simulated GPU is the p = 1 case:
+// `DeviceGroup(1, spec, PcieTopology::flat(1))` charges the whole model on
+// one device, and with only one sender there is no gather to price.
 //
 // Placement is capacity-aware: shards are assigned largest-first to the
 // device with the most free memory (LPT), so a catalog no single device can
 // hold spreads across the group, and a device already carrying ballast
 // (another tenant, an undrained generation) receives less of the new model.
+//
+// Residency follows the generations the engine serves. A snapshot is charged
+// when admit() or begin_batch() first sees it, and released once it has
+// *drained* — its last shared_ptr (live-store current pointer, engine pins)
+// is gone. During a hot swap old and new snapshots are therefore both
+// resident: the transient both-resident capacity peak a real serving GPU
+// pays, reported per device by peak_model_bytes(). An engine over a fixed
+// FactorStore holds its snapshot for life, so that model stays charged until
+// the engine goes away.
 //
 // Hot swaps land shard-by-shard across devices, which makes partial failure
 // the dangerous case: generation charging is all-or-nothing. admit() places
@@ -26,7 +38,7 @@
 // keeps serving everywhere and no device is left holding a torn placement.
 // Wired as a LiveFactorStore admission hook, a vetoed swap is refused before
 // the generation ever becomes current; without the hook, begin_batch()
-// charges lazily on first sight, as the single-device backend does.
+// charges lazily on first sight, and an OOM surfaces from that batch.
 
 #include <memory>
 #include <mutex>
@@ -38,34 +50,19 @@
 
 namespace cumf::serve {
 
-struct MultiDeviceOptions {
-  /// Route the x_u gathers through the read-only texture path.
-  bool use_texture = true;
-};
-
 class MultiDeviceScoringBackend final : public ScoringBackend {
  public:
-  using Options = MultiDeviceOptions;
-
-  /// Static-store residency: `store`'s shards are placed and charged across
-  /// the group at construction (raises DeviceOomError when the catalog does
-  /// not fit the fleet) and released at destruction. The group, topology,
-  /// and store must outlive the backend.
+  /// Generations attach via admit() (the LiveFactorStore admission hook) or
+  /// lazily via begin_batch(). The group and topology must outlive the
+  /// backend; every charge still held is released at destruction.
   MultiDeviceScoringBackend(gpusim::DeviceGroup& group,
-                            const gpusim::PcieTopology& topo,
-                            const FactorStore& store, Options opt = {});
-  /// Live-store residency: generations attach via admit() (the
-  /// LiveFactorStore admission hook) or lazily via begin_batch(). The group
-  /// and topology must outlive the backend.
-  MultiDeviceScoringBackend(gpusim::DeviceGroup& group,
-                            const gpusim::PcieTopology& topo, Options opt = {});
+                            const gpusim::PcieTopology& topo);
   ~MultiDeviceScoringBackend() override;
 
   MultiDeviceScoringBackend(const MultiDeviceScoringBackend&) = delete;
   MultiDeviceScoringBackend& operator=(const MultiDeviceScoringBackend&) =
       delete;
 
-  [[nodiscard]] const char* name() const override { return "multigpu"; }
   [[nodiscard]] int device_count() const override {
     return static_cast<int>(devs_.size());
   }
@@ -104,20 +101,18 @@ class MultiDeviceScoringBackend final : public ScoringBackend {
 
  private:
   /// One charged snapshot: its shard→device placement and the bytes charged
-  /// per device. `alive` is empty for the static-store entry.
+  /// per device. Released by gc_locked() once `alive` expires (drain).
   struct Resident {
     const FactorStore* key = nullptr;
     std::weak_ptr<const FactorStore> alive;
-    bool pinned_for_life = false;
     std::vector<int> device_of_shard;
     std::vector<bytes_t> device_bytes;  // parallel to devs_
     double imbalance = 1.0;
   };
 
-  /// Places and charges `store` across the group; rolls back and rethrows
+  /// Places and charges `snapshot` across the group; rolls back and rethrows
   /// on any device's OOM. Appends the Resident on success.
-  void charge_locked(const FactorStore& store,
-                     std::weak_ptr<const FactorStore> alive, bool pinned);
+  void charge_locked(const std::shared_ptr<const FactorStore>& snapshot);
   void release_locked(const Resident& r);
   void gc_locked();
   [[nodiscard]] const Resident* find_locked(const FactorStore* key) const;
@@ -126,7 +121,6 @@ class MultiDeviceScoringBackend final : public ScoringBackend {
 
   std::vector<gpusim::Device*> devs_;
   const gpusim::PcieTopology* topo_;
-  Options opt_;
   mutable std::mutex mu_;  // residency + device accounting + batch state
   std::vector<Resident> resident_;
   std::vector<bytes_t> used_bytes_;  // our charge per device

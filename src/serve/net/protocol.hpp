@@ -150,7 +150,7 @@ struct AddRatingRequest {
 
 struct QueryResponse {
   Status status = Status::kOk;
-  std::uint64_t generation = 0;  // model generation that answered (0 = static)
+  std::uint64_t generation = 0;  // model generation that answered (from 1)
   std::vector<Recommendation> items;
 };
 

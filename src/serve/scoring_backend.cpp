@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "linalg/hermitian.hpp"
-#include "obs/trace.hpp"
 #include "serve/topk.hpp"
 
 namespace cumf::serve {
@@ -136,142 +135,11 @@ SweepCounters reference_sweep(const SweepTask& task,
   return counters;
 }
 
-gpusim::KernelStats sweep_kernel_stats(const SweepTask& task,
-                                       const SweepCounters& c,
-                                       bool use_texture) {
-  const auto f = static_cast<double>(task.store->f());
-  const auto fbytes = f * sizeof(real_t);
-  const auto block_users = static_cast<double>(task.last - task.first);
-  gpusim::KernelStats stats;
-  stats.flops = 2.0 * f * static_cast<double>(c.scored);
-  stats.global_read =
-      static_cast<bytes_t>(static_cast<double>(c.rows_swept) * fbytes);
-  stats.gathered_read = static_cast<bytes_t>(block_users * fbytes);
-  stats.gathered_via_texture = use_texture;
-  stats.shared_read =
-      static_cast<bytes_t>(static_cast<double>(c.scored) * fbytes);
-  stats.global_write =
-      static_cast<bytes_t>(block_users * static_cast<double>(task.k) * 8);
-  return stats;
-}
-
 // ------------------------------------------------------ CpuScoringBackend --
 
 SweepCounters CpuScoringBackend::sweep(
     const SweepTask& task, std::vector<std::vector<Recommendation>>& out) {
   return reference_sweep(task, out);
-}
-
-// --------------------------------------------------- GpuSimScoringBackend --
-
-bytes_t GpuSimScoringBackend::model_bytes_for(const FactorStore& store) {
-  // Resident model: X (users·f) + Θ (items·f) + the per-row norms serving
-  // keeps alongside (double per item + double per user).
-  const auto users = static_cast<bytes_t>(store.num_users());
-  const auto items = static_cast<bytes_t>(store.num_items());
-  const auto f = static_cast<bytes_t>(store.f());
-  return (users + items) * f * sizeof(real_t) +
-         (users + items) * sizeof(double);
-}
-
-GpuSimScoringBackend::GpuSimScoringBackend(gpusim::Device& device,
-                                           const FactorStore& store,
-                                           Options opt)
-    : dev_(&device), opt_(opt) {
-  const bytes_t bytes = model_bytes_for(store);
-  dev_->charge(bytes);
-  resident_.push_back(Resident{&store, {}, /*pinned_for_life=*/true, bytes});
-  resident_bytes_ = peak_bytes_ = bytes;
-}
-
-GpuSimScoringBackend::GpuSimScoringBackend(gpusim::Device& device, Options opt)
-    : dev_(&device), opt_(opt) {}
-
-GpuSimScoringBackend::~GpuSimScoringBackend() {
-  if (resident_bytes_ > 0) dev_->release(resident_bytes_);
-}
-
-void GpuSimScoringBackend::begin_batch(
-    const std::shared_ptr<const FactorStore>& store) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Release drained generations first so a swap on a tight device only OOMs
-  // when old and new genuinely have to coexist (old still pinned).
-  gc_locked();
-  for (const auto& r : resident_) {
-    if (r.key == store.get()) return;  // already charged
-  }
-  const bytes_t bytes = model_bytes_for(*store);
-  dev_->charge(bytes);  // may raise DeviceOomError: both models must fit
-  resident_.push_back(Resident{store.get(), store, false, bytes});
-  resident_bytes_ += bytes;
-  peak_bytes_ = std::max(peak_bytes_, resident_bytes_);
-}
-
-void GpuSimScoringBackend::gc_locked() {
-  std::erase_if(resident_, [this](const Resident& r) {
-    if (r.pinned_for_life || !r.alive.expired()) return false;
-    dev_->release(r.bytes);
-    resident_bytes_ -= r.bytes;
-    return true;
-  });
-}
-
-bytes_t GpuSimScoringBackend::model_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resident_bytes_;
-}
-
-bytes_t GpuSimScoringBackend::peak_model_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_bytes_;
-}
-
-int GpuSimScoringBackend::resident_models() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(resident_.size());
-}
-
-SweepCounters GpuSimScoringBackend::sweep(
-    const SweepTask& task, std::vector<std::vector<Recommendation>>& out) {
-  // Span over the host-side execution of this modeled launch; the modeled
-  // GPU time rides along as an arg so the trace shows both time axes.
-  auto& trace = obs::TraceCollector::global();
-  const bool traced = trace.enabled();
-  const double begin_us = traced ? trace.now_us() : 0.0;
-  const SweepCounters c = reference_sweep(task, out);
-
-  const gpusim::KernelStats stats =
-      sweep_kernel_stats(task, c, opt_.use_texture);
-
-  double modeled_s = 0.0;
-  {
-    // Device accounting is not thread-safe and sweeps race on the pool; the
-    // lock also keeps the per-batch modeled sum consistent. Launches
-    // serialize on the simulated stream, so batch modeled time is the sum
-    // of launches.
-    std::lock_guard<std::mutex> lock(mu_);
-    dev_->account_kernel(stats);
-    modeled_s = dev_->model_kernel_seconds(stats);
-    batch_modeled_s_ += modeled_s;
-  }
-  if (traced) {
-    trace.record_span("gpusim.kernel", begin_us, trace.now_us(),
-                      {"scored", c.scored}, {"rows_swept", c.rows_swept},
-                      {"modeled_us",
-                       static_cast<std::uint64_t>(modeled_s * 1e6)});
-  }
-  return c;
-}
-
-BatchCost GpuSimScoringBackend::finish_batch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Drained generations can also die between batches (the live store swapped
-  // while this backend sat idle); sweep them out at every batch boundary.
-  gc_locked();
-  BatchCost cost;
-  cost.modeled_s = batch_modeled_s_;
-  batch_modeled_s_ = 0.0;
-  return cost;
 }
 
 }  // namespace cumf::serve

@@ -13,21 +13,20 @@
 // Two implementations ship today:
 //  - CpuScoringBackend  — the 4-chain item-major sweep on host threads
 //    (wall-clock only, no modeled-time axis);
-//  - GpuSimScoringBackend — the same arithmetic, but each sweep is accounted
-//    as a gpusim::Device kernel launch (flops/bytes derived analytically from
-//    shard size × factor rank), the resident model is charged against device
-//    capacity, and per-query-batch modeled seconds come off the device's
-//    roofline clock — which puts serving on the same modeled-time axis as
-//    training and lets the Table 3 cost model price serving fleets.
+//  - MultiDeviceScoringBackend (serve/multi_device_backend.hpp) — the same
+//    arithmetic, but each sweep is accounted as a kernel launch on the
+//    gpusim::Device that owns the shard (flops/bytes derived analytically
+//    from shard size × factor rank), every resident generation is charged
+//    against device capacity, and per-query-batch modeled seconds come off the
+//    devices' roofline clocks — which puts serving on the same modeled-time
+//    axis as training and lets the Table 3 cost model price serving fleets.
+//    One simulated GPU is simply a group of one device.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
-#include "gpusim/counters.hpp"
-#include "gpusim/device.hpp"
 #include "serve/factor_store.hpp"
 #include "util/types.hpp"
 
@@ -70,29 +69,20 @@ struct BatchCost {
 };
 
 /// Reference sweep: item-major, 4-chain scoring, strict-bound pruning. All
-/// backends must reproduce its heaps bit-for-bit (GpuSimScoringBackend simply
-/// calls it). `out` is indexed by user-in-block and holds bounded min-heaps
-/// ordered by heap_cmp == ranks_before.
+/// backends must reproduce its heaps bit-for-bit (the simulated-device
+/// backend simply calls it). `out` is indexed by user-in-block and holds
+/// bounded min-heaps ordered by heap_cmp == ranks_before.
 SweepCounters reference_sweep(const SweepTask& task,
                               std::vector<std::vector<Recommendation>>& out);
-
-/// Analytic kernel traffic for one sweep, shared by every simulated-GPU
-/// backend (see GpuSimScoringBackend's header comment for the derivation).
-[[nodiscard]] gpusim::KernelStats sweep_kernel_stats(const SweepTask& task,
-                                                     const SweepCounters& c,
-                                                     bool use_texture);
 
 class ScoringBackend {
  public:
   virtual ~ScoringBackend() = default;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
-  /// Called once per recommend() batch by a *live* engine, before any sweep,
-  /// with the generation pinned for the batch. Capacity-accounting backends
-  /// use it to charge a newly-seen snapshot and release drained ones; the
-  /// default is a no-op. Static engines never call it — their snapshot is
-  /// fixed at construction.
+  /// Called once per recommend() batch, before any sweep, with the
+  /// generation pinned for the batch. Capacity-accounting backends use it to
+  /// charge a newly-seen snapshot and release drained ones; the default is a
+  /// no-op.
   virtual void begin_batch(const std::shared_ptr<const FactorStore>& store) {
     (void)store;
   }
@@ -127,98 +117,8 @@ class ScoringBackend {
 /// Host backend: the sweep runs on pool threads and that is the whole story.
 class CpuScoringBackend final : public ScoringBackend {
  public:
-  [[nodiscard]] const char* name() const override { return "cpu"; }
   SweepCounters sweep(const SweepTask& task,
                       std::vector<std::vector<Recommendation>>& out) override;
-};
-
-/// Simulated-GPU backend. Arithmetic is delegated to reference_sweep (so
-/// top-k lists are bit-identical to the CPU backend); each sweep is accounted
-/// on the device as one kernel launch with analytic traffic:
-///
-///   flops         2·f per scored dot
-///   global_read   rows_swept · f floats — θ rows streamed contiguously
-///                 (shards are slot-contiguous in descending-norm order)
-///   gathered_read block_users · f floats — x_u rows fetched once into
-///                 on-chip storage, discontiguous by user id (optionally via
-///                 the texture path; block reuse is high, quality 1)
-///   shared_read   scored · f floats — each dot replays the cached user row
-///   global_write  block_users · k · 8 B — (item, score) heap write-back
-///
-/// The resident model (X + Θ + norms) is charged against the device's
-/// capacity — a model that does not fit raises DeviceOomError, the same
-/// eq.-8 pressure that forces training to partition.
-///
-/// Residency comes in two flavours:
-///  - static store (three-argument constructor): the model is charged at
-///    construction and released at destruction, as before;
-///  - live store (device-only constructor): each generation the engine pins
-///    is charged the first time begin_batch() sees it, and released only
-///    after it has *drained* — the generation's last shared_ptr (live-store
-///    current pointer, engine pins) is gone. During a hot swap old and new
-///    snapshots are therefore both resident, surfacing the transient
-///    both-resident capacity peak a real serving GPU pays; peak_model_bytes()
-///    reports its high-water mark, and a device too small to host both
-///    generations at once raises DeviceOomError at the swap, not silently.
-struct GpuSimScoringOptions {
-  /// Route the x_u gathers through the read-only texture path.
-  bool use_texture = true;
-};
-
-class GpuSimScoringBackend final : public ScoringBackend {
- public:
-  using Options = GpuSimScoringOptions;
-
-  /// Static-store residency: the device and store must outlive the backend,
-  /// and the store must be the one the owning TopKEngine serves.
-  GpuSimScoringBackend(gpusim::Device& device, const FactorStore& store,
-                       Options opt = {});
-  /// Live-store residency: generations attach via begin_batch(). The device
-  /// must outlive the backend.
-  explicit GpuSimScoringBackend(gpusim::Device& device, Options opt = {});
-  ~GpuSimScoringBackend() override;
-
-  GpuSimScoringBackend(const GpuSimScoringBackend&) = delete;
-  GpuSimScoringBackend& operator=(const GpuSimScoringBackend&) = delete;
-
-  [[nodiscard]] const char* name() const override { return "gpusim"; }
-  void begin_batch(const std::shared_ptr<const FactorStore>& store) override;
-  SweepCounters sweep(const SweepTask& task,
-                      std::vector<std::vector<Recommendation>>& out) override;
-  BatchCost finish_batch() override;
-
-  [[nodiscard]] gpusim::Device& device() const { return *dev_; }
-  /// Bytes currently charged for resident model snapshots (one for a static
-  /// store; one per undrained generation for a live store).
-  [[nodiscard]] bytes_t model_bytes() const;
-  /// High-water mark of model_bytes() — the both-resident swap peak.
-  [[nodiscard]] bytes_t peak_model_bytes() const;
-  /// Snapshots currently charged.
-  [[nodiscard]] int resident_models() const;
-
-  /// Capacity charge for one snapshot: X + Θ factors plus per-row norms.
-  [[nodiscard]] static bytes_t model_bytes_for(const FactorStore& store);
-
- private:
-  /// One charged snapshot. `alive` is empty for the static-store entry
-  /// (released only at destruction); generation entries hold a weak_ptr and
-  /// are released by gc_locked() once it expires — i.e. after drain.
-  struct Resident {
-    const FactorStore* key = nullptr;
-    std::weak_ptr<const FactorStore> alive;
-    bool pinned_for_life = false;
-    bytes_t bytes = 0;
-  };
-
-  void gc_locked();
-
-  gpusim::Device* dev_;
-  Options opt_;
-  mutable std::mutex mu_;         // Device accounting is not thread-safe
-  std::vector<Resident> resident_;
-  bytes_t resident_bytes_ = 0;
-  bytes_t peak_bytes_ = 0;
-  double batch_modeled_s_ = 0.0;  // modeled seconds accumulated this batch
 };
 
 }  // namespace cumf::serve

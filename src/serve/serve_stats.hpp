@@ -244,8 +244,8 @@ struct ServeStats {
   /// single simulated device).
   std::uint64_t serving_devices = 1;
 
-  /// Model generation serving right now (0 = static FactorStore, no live
-  /// refresh in the stack).
+  /// Model generation serving right now (1 until the first hot swap; an
+  /// engine over a fixed FactorStore stays at 1 with zero refreshes).
   std::uint64_t generation = 0;
   /// Successful hot swaps into the LiveFactorStore.
   std::uint64_t refreshes = 0;
@@ -279,7 +279,7 @@ struct ServeStats {
   /// just the component whose counters ride alongside.
   LatencySummary batch_wall;
   /// Backend modeled time per batch; all-zero for wall-clock-only backends,
-  /// the simulated-GPU kernel time for GpuSimScoringBackend.
+  /// the simulated kernel (plus gather) time for MultiDeviceScoringBackend.
   LatencySummary batch_modeled;
   /// Modeled cross-device candidate-gather time per batch; nonzero only when
   /// a multi-device backend is serving (the interconnect slice of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -12,7 +13,28 @@
 
 namespace cumf::serve {
 
-void TopKEngine::init() {
+namespace {
+
+// A live store over a caller-owned snapshot, uncopied: the pointer does not
+// own the store, and the live store keeps it current for life, so it never
+// drains while the engine is alive.
+std::unique_ptr<LiveFactorStore> borrow(const FactorStore& store) {
+  return std::make_unique<LiveFactorStore>(
+      std::shared_ptr<const FactorStore>(&store, [](const FactorStore*) {}));
+}
+
+}  // namespace
+
+TopKEngine::TopKEngine(const FactorStore& store, TopKOptions opt)
+    : TopKEngine(borrow(store), opt) {}
+
+TopKEngine::TopKEngine(std::unique_ptr<LiveFactorStore> owned, TopKOptions opt)
+    : TopKEngine(*owned, opt) {
+  owned_live_ = std::move(owned);
+}
+
+TopKEngine::TopKEngine(const LiveFactorStore& live, TopKOptions opt)
+    : live_(&live), opt_(opt) {
   if (opt_.user_block < 1) opt_.user_block = 1;
   if (opt_.backend != nullptr) {
     backend_ = opt_.backend;
@@ -22,31 +44,9 @@ void TopKEngine::init() {
   }
 }
 
-TopKEngine::TopKEngine(const FactorStore& store, TopKOptions opt)
-    : static_store_(&store), opt_(opt) {
-  init();
-}
-
-TopKEngine::TopKEngine(const LiveFactorStore& live, TopKOptions opt)
-    : live_(&live), opt_(opt) {
-  init();
-}
-
 TopKEngine::~TopKEngine() = default;
 
-const FactorStore& TopKEngine::store() const {
-  if (static_store_ == nullptr) {
-    throw std::logic_error(
-        "TopKEngine::store(): engine serves a LiveFactorStore; pin a "
-        "generation via live_store()->pin() instead");
-  }
-  return *static_store_;
-}
-
-idx_t TopKEngine::num_users() const {
-  return live_ != nullptr ? live_->pin()->num_users()
-                          : static_store_->num_users();
-}
+idx_t TopKEngine::num_users() const { return live_->pin()->num_users(); }
 
 RecommendBatch TopKEngine::recommend_batch(std::span<const idx_t> users,
                                            int k) const {
@@ -57,12 +57,9 @@ RecommendBatch TopKEngine::recommend_batch(std::span<const idx_t> users,
   // Pin one generation for the whole batch: every sweep, bound check, and
   // merge below reads this snapshot, no matter how many refreshes land while
   // the batch is in flight. The pin keeps it alive until we return.
-  LiveFactorStore::Pinned pinned;
-  if (live_ != nullptr) {
-    pinned = live_->pin();
-    out.generation = pinned.generation;
-  }
-  const FactorStore& store = live_ != nullptr ? *pinned.store : *static_store_;
+  const LiveFactorStore::Pinned pinned = live_->pin();
+  out.generation = pinned.generation;
+  const FactorStore& store = *pinned;
 
   if (n == 0 || k <= 0) return out;
   util::Stopwatch watch;
@@ -81,10 +78,10 @@ RecommendBatch TopKEngine::recommend_batch(std::span<const idx_t> users,
     }
   }
 
-  // Let the backend account residency for this generation (GpuSim re-charges
-  // device capacity on first sight of a new snapshot and releases drained
-  // ones); static engines keep their construction-time charge.
-  if (live_ != nullptr) backend_->begin_batch(pinned.store);
+  // Let the backend account residency for this generation (a simulated
+  // device group charges capacity on first sight of a new snapshot and
+  // releases drained ones).
+  backend_->begin_batch(pinned.store);
 
   auto& result = out.lists;
 

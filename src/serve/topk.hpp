@@ -8,21 +8,22 @@
 // amortization MO-ALS gets from batching row solves — maintaining a bounded
 // min-heap of the k best per user. Per-shard heaps are then merged per user.
 //
-// The engine serves either a *static* FactorStore (the reference it was
-// constructed over never changes) or a LiveFactorStore (live_store.hpp): in
-// live mode every recommend() batch pins the current generation once up
-// front, so the whole batch is answered from one immutable snapshot even
-// while refreshes swap new checkpoints in underneath. recommend_batch()
-// additionally reports which generation answered, which is what lets the
-// RequestBatcher tag its score cache and invalidate stale entries
-// incrementally after a hot swap.
+// The engine always serves a LiveFactorStore (live_store.hpp): every
+// recommend() batch pins the current generation once up front, so the whole
+// batch is answered from one immutable snapshot even while refreshes swap new
+// checkpoints in underneath. recommend_batch() additionally reports which
+// generation answered, which is what lets the RequestBatcher tag its score
+// cache and invalidate stale entries incrementally after a hot swap. An
+// engine built over a plain FactorStore wraps it, uncopied, in an engine-owned
+// LiveFactorStore that nobody can refresh: it serves generation 1 for life.
 //
 // The sweep itself is executed by a pluggable ScoringBackend
 // (serve/scoring_backend.hpp): the default CpuScoringBackend runs it on host
-// threads; GpuSimScoringBackend runs the identical arithmetic but accounts
-// every sweep as a gpusim::Device kernel launch, putting serving on the
-// modeled-time axis. Backends are required to return bit-identical top-k
-// lists, so the choice moves cost, never answers.
+// threads; MultiDeviceScoringBackend runs the identical arithmetic but
+// accounts every sweep as a kernel launch on a simulated device group (one
+// device for a single GPU), putting serving on the modeled-time axis.
+// Backends are required to return bit-identical top-k lists, so the choice
+// moves cost, never answers.
 //
 // Two candidate filters run inside the sweep:
 //  - norm pruning: shards store items in descending-‖θ_v‖ order, so once
@@ -76,14 +77,13 @@ struct TopKOptions {
   /// Cauchy–Schwarz norm pruning (on by default; off for A/B in benches).
   bool prune = true;
   /// Scoring backend; nullptr uses an engine-owned CpuScoringBackend. The
-  /// backend must outlive the engine. A GpuSimScoringBackend built over a
-  /// static FactorStore must be given the engine's store; in live mode use
-  /// its device-only constructor and generations attach via begin_batch().
+  /// backend must outlive the engine; generations attach to it via
+  /// begin_batch().
   ScoringBackend* backend = nullptr;
 };
 
-/// One recommend() batch plus the generation that answered it. For engines
-/// over a static FactorStore the generation is 0.
+/// One recommend() batch plus the generation that answered it (1 for an
+/// engine over a fixed FactorStore).
 struct RecommendBatch {
   std::vector<std::vector<Recommendation>> lists;
   std::uint64_t generation = 0;
@@ -91,21 +91,18 @@ struct RecommendBatch {
 
 class TopKEngine {
  public:
-  /// Static mode: the store (and the exclude CSR / backend, when set) must
-  /// outlive the engine.
+  /// Serves a fixed store through an engine-owned LiveFactorStore that holds
+  /// it without copying. The store (and the exclude CSR / backend, when set)
+  /// must outlive the engine.
   explicit TopKEngine(const FactorStore& store, TopKOptions opt = {});
-  /// Live mode: every batch pins `live`'s current generation; refreshes under
-  /// a running engine are safe. `live` must outlive the engine.
+  /// Every batch pins `live`'s current generation; refreshes under a running
+  /// engine are safe. `live` must outlive the engine.
   explicit TopKEngine(const LiveFactorStore& live, TopKOptions opt = {});
   ~TopKEngine();
 
-  /// Static mode only (throws std::logic_error in live mode — a generation
-  /// reference would dangle the moment the pin is released; use live_store()
-  /// and pin() instead).
-  [[nodiscard]] const FactorStore& store() const;
-  /// The live store this engine serves, nullptr in static mode.
-  [[nodiscard]] const LiveFactorStore* live_store() const { return live_; }
-  /// User-id bound of the snapshot serving right now (pins in live mode).
+  /// The live store this engine serves (engine-owned for a fixed store).
+  [[nodiscard]] const LiveFactorStore& live_store() const { return *live_; }
+  /// User-id bound of the snapshot serving right now (takes a pin).
   [[nodiscard]] idx_t num_users() const;
   [[nodiscard]] const TopKOptions& options() const { return opt_; }
   [[nodiscard]] ScoringBackend& backend() const { return *backend_; }
@@ -149,10 +146,10 @@ class TopKEngine {
   }
 
  private:
-  void init();  // shared constructor tail: option clamp + backend selection
+  TopKEngine(std::unique_ptr<LiveFactorStore> owned, TopKOptions opt);
 
-  const FactorStore* static_store_ = nullptr;  // exactly one of these is set
-  const LiveFactorStore* live_ = nullptr;
+  std::unique_ptr<LiveFactorStore> owned_live_;  // fixed-store engines only
+  const LiveFactorStore* live_;
   TopKOptions opt_;
   std::unique_ptr<CpuScoringBackend> owned_backend_;  // when opt_.backend null
   ScoringBackend* backend_;

@@ -10,11 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "gpusim/device.hpp"
-#include "gpusim/device_spec.hpp"
 #include "serve/batcher.hpp"
 #include "serve/live_store.hpp"
-#include "serve/scoring_backend.hpp"
 #include "serve/topk.hpp"
 #include "serve_test_util.hpp"
 
@@ -52,8 +49,7 @@ TEST(LiveFactorStore, ServesInitialGenerationAndTagsBatches) {
 
   const serve::TopKEngine engine(live);
   EXPECT_EQ(engine.num_users(), 10);
-  EXPECT_EQ(engine.live_store(), &live);
-  EXPECT_THROW((void)engine.store(), std::logic_error);
+  EXPECT_EQ(&engine.live_store(), &live);
 
   std::vector<idx_t> users = {0, 3, 7};
   const auto batch = engine.recommend_batch(users, 4);
@@ -63,11 +59,14 @@ TEST(LiveFactorStore, ServesInitialGenerationAndTagsBatches) {
               snap.expected[static_cast<std::size_t>(users[i])]);
   }
 
-  // Static engines report generation 0: "no live refresh in the stack".
+  // An engine over a fixed store serves it, uncopied, as generation 1 of an
+  // engine-owned live store that never refreshes.
   const serve::FactorStore fixed(snap.x, snap.theta, 2);
-  const serve::TopKEngine static_engine(fixed);
-  EXPECT_EQ(static_engine.live_store(), nullptr);
-  EXPECT_EQ(static_engine.recommend_batch(users, 4).generation, 0u);
+  const serve::TopKEngine fixed_engine(fixed);
+  EXPECT_NE(&fixed_engine.live_store(), &live);
+  EXPECT_EQ(fixed_engine.live_store().pin().store.get(), &fixed);
+  EXPECT_EQ(fixed_engine.live_store().refreshes(), 0u);
+  EXPECT_EQ(fixed_engine.recommend_batch(users, 4).generation, 1u);
 }
 
 TEST(LiveFactorStore, RefreshSwapsGenerationAndPinKeepsOldOneAlive) {
@@ -302,89 +301,6 @@ TEST(LiveFactorStore, StressConcurrentSwapsServeTornFreeBitExactAnswers) {
   std::vector<idx_t> probe = {0, 5, 11, 17, 23};
   const auto batch = engine.recommend_batch(probe, kTop);
   EXPECT_TRUE(matches_snapshot(batch, probe, final_snap));
-}
-
-// --------------------------------------- GpuSim capacity across a swap ----
-
-TEST(GpuSimScoringBackend, HotSwapChargesBothGenerationsUntilDrained) {
-  const auto gen1 = make_snapshot(20, 50, 8, 5, 401);
-  const auto gen2 = make_snapshot(20, 50, 8, 5, 403);
-
-  gpusim::Device dev(0, gpusim::titan_x());
-  serve::GpuSimScoringBackend backend(dev);  // live-mode: no model yet
-  EXPECT_EQ(dev.used_bytes(), 0u);
-  EXPECT_EQ(backend.resident_models(), 0);
-
-  serve::LiveFactorStore live(serve::FactorStore(gen1.x, gen1.theta, 2));
-  serve::TopKOptions opt;
-  opt.backend = &backend;
-  opt.user_block = 8;
-  const serve::TopKEngine engine(live, opt);
-
-  const std::vector<idx_t> users = {0, 1, 2, 3, 4, 5, 6, 7};
-  (void)engine.recommend(users, 5);
-  const bytes_t per_model = backend.model_bytes();
-  EXPECT_EQ(per_model,
-            serve::GpuSimScoringBackend::model_bytes_for(*live.pin().store));
-  EXPECT_EQ(dev.used_bytes(), per_model);
-  EXPECT_EQ(backend.resident_models(), 1);
-
-  // An in-flight reader pins generation 1 across the swap: serving the next
-  // batch makes both models resident — the transient swap peak.
-  auto pin = live.pin();
-  live.refresh(serve::FactorStore(gen2.x, gen2.theta, 2));
-  const auto batch = engine.recommend_batch(users, 5);
-  EXPECT_EQ(batch.generation, 2u);
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(batch.lists[i],
-              gen2.expected[static_cast<std::size_t>(users[i])]);
-  }
-  EXPECT_EQ(backend.resident_models(), 2);
-  EXPECT_EQ(dev.used_bytes(), 2 * per_model);
-  EXPECT_EQ(backend.peak_model_bytes(), 2 * per_model);
-
-  // Release the pin: generation 1 has drained, and the next batch boundary
-  // returns its capacity. The high-water mark keeps the swap peak visible.
-  pin.store.reset();
-  (void)engine.recommend(users, 5);
-  EXPECT_EQ(backend.resident_models(), 1);
-  EXPECT_EQ(dev.used_bytes(), per_model);
-  EXPECT_EQ(backend.peak_model_bytes(), 2 * per_model);
-}
-
-TEST(GpuSimScoringBackend, TightDeviceOomsOnSwapOnlyWhileOldGenerationPinned) {
-  const auto gen1 = make_snapshot(16, 40, 8, 5, 411);
-  const auto gen2 = make_snapshot(16, 40, 8, 5, 413);
-  const serve::FactorStore probe(gen1.x, gen1.theta, 2);
-  const bytes_t per_model = serve::GpuSimScoringBackend::model_bytes_for(probe);
-
-  // Fits one generation with headroom, never two.
-  gpusim::Device dev(0, gpusim::tiny_device(per_model + per_model / 2));
-  serve::GpuSimScoringBackend backend(dev);
-
-  serve::LiveFactorStore live(serve::FactorStore(gen1.x, gen1.theta, 2));
-  serve::TopKOptions opt;
-  opt.backend = &backend;
-  const serve::TopKEngine engine(live, opt);
-
-  const std::vector<idx_t> users = {0, 1, 2, 3};
-  (void)engine.recommend(users, 5);
-  EXPECT_EQ(dev.used_bytes(), per_model);
-
-  // While generation 1 is pinned by a reader, charging generation 2 exceeds
-  // capacity: the both-resident peak surfaces as the same eq.-8 OOM pressure
-  // training feels, instead of silently under-accounting the swap.
-  auto pin = live.pin();
-  live.refresh(serve::FactorStore(gen2.x, gen2.theta, 2));
-  EXPECT_THROW((void)engine.recommend(users, 5), gpusim::DeviceOomError);
-
-  // Once the reader drains, the swap completes within capacity.
-  pin.store.reset();
-  const auto batch = engine.recommend_batch(users, 5);
-  EXPECT_EQ(batch.generation, 2u);
-  EXPECT_EQ(batch.lists[0], gen2.expected[0]);
-  EXPECT_EQ(backend.resident_models(), 1);
-  EXPECT_EQ(dev.used_bytes(), per_model);
 }
 
 // ------------------------------------------- RequestBatcher over a swap ----

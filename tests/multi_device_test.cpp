@@ -1,17 +1,23 @@
-// Multi-device model-parallel serving: scatter-gather parity with the CPU
-// reference, capacity-aware placement, all-or-nothing generation admission,
-// and refresh-under-query consistency (the TSan job in CI runs this suite).
+// Simulated-device serving: scatter-gather parity with the CPU reference,
+// per-batch device accounting, capacity charging across hot swaps,
+// capacity-aware placement, all-or-nothing generation admission, and
+// refresh-under-query consistency (the TSan job in CI runs this suite).
+// One simulated GPU is a group of one device, so the behaviours that are not
+// specific to one device run for N ∈ {1, 2, 4}.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -48,57 +54,322 @@ serve::FactorStore capacity_store(int shards, std::uint64_t seed = 1) {
                             shards);
 }
 
-TEST(MultiDeviceBackend, BitIdenticalToCpuAcrossDeviceAndShardCounts) {
-  const auto x = random_factors(60, 12, 11);
-  const auto theta = random_factors(301, 12, 12);
+std::shared_ptr<const serve::FactorStore> shared_capacity_store(
+    int shards, std::uint64_t seed = 1) {
+  return std::make_shared<const serve::FactorStore>(
+      capacity_store(shards, seed));
+}
+
+/// A backend over a fresh group of `devices` identical simulated devices.
+struct SimGroup {
+  SimGroup(int devices, const gpusim::DeviceSpec& spec)
+      : topo(gpusim::PcieTopology::flat(devices)),
+        group(devices, spec, topo),
+        backend(group, topo) {}
+
+  [[nodiscard]] bytes_t used_bytes() {
+    bytes_t used = 0;
+    for (int d = 0; d < group.size(); ++d) used += group[d].used_bytes();
+    return used;
+  }
+  /// Sum of the per-device high-water marks.
+  [[nodiscard]] bytes_t peak_bytes() const {
+    bytes_t peak = 0;
+    for (int d = 0; d < backend.device_count(); ++d) {
+      peak += backend.peak_model_bytes(d);
+    }
+    return peak;
+  }
+
+  gpusim::PcieTopology topo;
+  gpusim::DeviceGroup group;
+  serve::MultiDeviceScoringBackend backend;
+};
+
+/// Device counts every generic behaviour is checked on; 1 is the plain
+/// single-GPU case.
+class SimDevices : public testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Devices, SimDevices, testing::Values(1, 2, 4));
+
+TEST_P(SimDevices, BitIdenticalToCpuAndBruteForceAcrossConfigs) {
+  const int devices = GetParam();
+  const idx_t m = 30, n = 113;
+  const int f = 12;
+  const auto x = random_factors(m, f, 201);
+  auto theta = random_factors(n, f, 202);
+  // Spread the item norms so the prune configurations actually prune.
+  for (idx_t v = 0; v < theta.rows(); ++v) {
+    const real_t scale = real_t{1} / static_cast<real_t>(1 + v);
+    for (int j = 0; j < theta.f(); ++j) theta.row(v)[j] *= scale;
+  }
+  const auto R = random_ratings(m, n, 300, 203);
+
+  // Every user once, plus a repeat within the same batch.
+  std::vector<idx_t> users(static_cast<std::size_t>(m));
+  for (idx_t u = 0; u < m; ++u) users[static_cast<std::size_t>(u)] = u;
+  users.push_back(7);
 
   for (const int shards : {1, 3, 4, 7}) {
     const serve::FactorStore store(x, theta, shards);
-    const serve::TopKEngine cpu(store);
-    for (const int devices : {1, 2, 4}) {
-      const auto topo = gpusim::PcieTopology::flat(devices);
-      gpusim::DeviceGroup group(devices, gpusim::titan_x(), topo);
-      serve::MultiDeviceScoringBackend backend(group, topo, store);
-      serve::TopKOptions opt;
-      opt.backend = &backend;
-      opt.user_block = 16;
-      const serve::TopKEngine engine(store, opt);
+    for (const bool prune : {true, false}) {
+      for (const bool exclude : {true, false}) {
+        for (const int block : {1, 7}) {
+          serve::TopKOptions base;
+          base.user_block = block;
+          base.prune = prune;
+          base.exclude_rated = exclude ? &R : nullptr;
+          const serve::TopKEngine cpu_engine(store, base);
 
-      const std::vector<idx_t> users = {0, 7, 13, 31, 59, 7};
-      const auto got = engine.recommend(users, 10);
-      const auto want = cpu.recommend(users, 10);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < users.size(); ++i) {
-        EXPECT_EQ(got[i], want[i])
-            << "user " << users[i] << " shards=" << shards
-            << " devices=" << devices;
-        EXPECT_EQ(got[i], brute_force_topk(x, theta, users[i], 10));
+          SimGroup sim(devices, gpusim::titan_x());
+          serve::TopKOptions sim_opt = base;
+          sim_opt.backend = &sim.backend;
+          const serve::TopKEngine sim_engine(store, sim_opt);
+
+          const auto want = cpu_engine.recommend(users, 9);
+          const auto got = sim_engine.recommend(users, 9);
+          for (std::size_t i = 0; i < users.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "devices=" << devices << " shards=" << shards
+                << " prune=" << prune << " exclude=" << exclude
+                << " block=" << block << " user=" << users[i];
+            const auto brute = brute_force_topk(x, theta, users[i], 9,
+                                                exclude ? &R : nullptr);
+            ASSERT_EQ(got[i], brute) << "vs brute force, user=" << users[i];
+          }
+          // Both engines did identical logical work.
+          EXPECT_EQ(sim_engine.items_scored(), cpu_engine.items_scored());
+          EXPECT_EQ(sim_engine.items_pruned(), cpu_engine.items_pruned());
+        }
       }
     }
   }
 }
 
-TEST(MultiDeviceBackend, ParityWithPruningOffAndExcludeRated) {
-  const auto x = random_factors(40, 8, 21);
-  const auto theta = random_factors(150, 8, 22);
-  const auto ratings = random_ratings(40, 150, 400, 23);
-  const serve::FactorStore store(x, theta, 5);
+TEST_P(SimDevices, PopulatesDeviceCountersPerBatch) {
+  const int devices = GetParam();
+  const idx_t m = 24, n = 90;
+  const int f = 8;
+  const auto x = random_factors(m, f, 211);
+  const auto theta = random_factors(n, f, 212);
+  const serve::FactorStore store(x, theta, 3);
 
-  for (const bool prune : {true, false}) {
-    const auto topo = gpusim::PcieTopology::flat(2);
-    gpusim::DeviceGroup group(2, gpusim::gk210(), topo);
-    serve::MultiDeviceScoringBackend backend(group, topo, store);
+  SimGroup sim(devices, gpusim::titan_x());
+  serve::TopKOptions opt;
+  opt.user_block = 8;
+  opt.backend = &sim.backend;
+  const serve::TopKEngine engine(store, opt);
+
+  const auto total = [&sim] {
+    gpusim::DeviceCounters sum;
+    double clock = 0.0;
+    for (int d = 0; d < sim.group.size(); ++d) {
+      const auto& c = sim.group[d].counters();
+      sum.kernels_launched += c.kernels_launched;
+      sum.flops += c.flops;
+      sum.global_read += c.global_read;
+      sum.gathered_read += c.gathered_read;
+      sum.texture_read += c.texture_read;
+      sum.shared_read += c.shared_read;
+      sum.global_write += c.global_write;
+      clock += sim.group[d].clock_seconds();
+    }
+    return std::make_pair(sum, clock);
+  };
+
+  EXPECT_EQ(total().first.kernels_launched, 0u);
+  std::vector<idx_t> users = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  (void)engine.recommend(users, 5);
+
+  const auto [c, clock_after_first] = total();
+  // 10 users in blocks of 8 = 2 blocks × 3 shards = 6 launches, however
+  // the shards are spread.
+  EXPECT_EQ(c.kernels_launched, 6u);
+  EXPECT_GT(c.flops, 0.0);
+  EXPECT_GT(c.global_read, 0u);    // θ rows streamed
+  EXPECT_GT(c.gathered_read, 0u);  // x_u gathers
+  EXPECT_GT(c.texture_read, 0u);   // routed via the texture path
+  EXPECT_GT(c.shared_read, 0u);    // per-dot replays of the cached block
+  EXPECT_GT(c.global_write, 0u);   // heap write-back
+  EXPECT_GT(clock_after_first, 0.0);
+
+  // flops are exactly 2·f per scored dot.
+  EXPECT_DOUBLE_EQ(c.flops,
+                   2.0 * f * static_cast<double>(engine.items_scored()));
+
+  // The modeled-time axis is populated per batch and resets between batches;
+  // a lone device has no candidate gather to price.
+  const auto modeled = engine.batch_modeled_summary();
+  EXPECT_EQ(modeled.samples, 1u);
+  EXPECT_GT(modeled.p50_ms, 0.0);
+  EXPECT_EQ(engine.batch_interconnect_summary().samples,
+            devices == 1 ? 0u : 1u);
+  (void)engine.recommend(users, 5);
+  EXPECT_GT(total().second, clock_after_first);
+  EXPECT_EQ(engine.batch_modeled_summary().samples, 2u);
+}
+
+TEST_P(SimDevices, KernelSpansCarryDeviceScoredAndModeledTime) {
+  const int devices = GetParam();
+  const auto store = capacity_store(4, 55);
+  SimGroup sim(devices, gpusim::titan_x());
+  serve::TopKOptions opt;
+  opt.backend = &sim.backend;
+  const serve::TopKEngine engine(store, opt);
+
+  auto& trace = obs::TraceCollector::global();
+  trace.enable();
+  trace.clear();
+  (void)engine.recommend_one(3, 10);
+  trace.disable();
+  const std::string json = trace.export_chrome_json();
+
+  // One schema for every simulated sweep, whatever the device count.
+  const std::string kernel = "{\"name\":\"gpusim.kernel\"";
+  const std::string device_arg = "\"args\":{\"device\":";
+  std::set<unsigned long> seen_devices;
+  int spans = 0;
+  for (std::size_t at = json.find(kernel); at != std::string::npos;
+       at = json.find(kernel, at + 1)) {
+    const std::string event = json.substr(at, json.find('}', at) - at);
+    const std::size_t args = event.find(device_arg);
+    ASSERT_NE(args, std::string::npos) << event;
+    EXPECT_NE(event.find(",\"scored\":"), std::string::npos) << event;
+    EXPECT_NE(event.find(",\"modeled_us\":"), std::string::npos) << event;
+    seen_devices.insert(std::stoul(event.substr(args + device_arg.size())));
+    ++spans;
+  }
+  EXPECT_EQ(spans, 4);  // 4 shards × 1 user block
+  EXPECT_EQ(static_cast<int>(seen_devices.size()), devices);
+}
+
+TEST(MultiDeviceBackend, OneDeviceChargesWholeModelUntilDestroyed) {
+  const auto x = random_factors(50, 16, 221);
+  const auto theta = random_factors(200, 16, 222);
+  const serve::FactorStore store(x, theta, 2);
+
+  const auto topo = gpusim::PcieTopology::flat(1);
+  gpusim::DeviceGroup group(1, gpusim::titan_x(), topo);
+  {
+    serve::MultiDeviceScoringBackend backend(group, topo);
     serve::TopKOptions opt;
     opt.backend = &backend;
-    opt.prune = prune;
-    opt.exclude_rated = &ratings;
     const serve::TopKEngine engine(store, opt);
-    for (const idx_t u : {0, 17, 39}) {
-      EXPECT_EQ(engine.recommend_one(u, 8),
-                brute_force_topk(x, theta, u, 8, &ratings))
-          << "user " << u << " prune=" << prune;
-    }
+    EXPECT_EQ(group[0].used_bytes(), 0u);  // charged on first sight
+    (void)engine.recommend_one(0, 5);
+    EXPECT_EQ(group[0].used_bytes(), backend.model_bytes());
+    // X + Θ factors plus the per-row norm arrays.
+    EXPECT_EQ(backend.model_bytes(),
+              (50u + 200u) * (16u * sizeof(real_t) + sizeof(double)));
+    // A fixed store never drains: later batches keep the one charge.
+    (void)engine.recommend_one(1, 5);
+    EXPECT_EQ(backend.resident_models(), 1);
   }
+  EXPECT_EQ(group[0].used_bytes(), 0u);
+
+  // A model that does not fit raises the same OOM pressure as training, at
+  // admission or at the first batch, and leaves nothing charged.
+  gpusim::DeviceGroup tiny(1, gpusim::tiny_device(1024), topo);
+  serve::MultiDeviceScoringBackend backend(tiny, topo);
+  EXPECT_THROW(
+      backend.admit(std::make_shared<const serve::FactorStore>(x, theta, 2)),
+      gpusim::DeviceOomError);
+  serve::TopKOptions opt;
+  opt.backend = &backend;
+  const serve::TopKEngine engine(store, opt);
+  EXPECT_THROW((void)engine.recommend_one(0, 5), gpusim::DeviceOomError);
+  EXPECT_EQ(tiny[0].used_bytes(), 0u);
+  EXPECT_EQ(backend.resident_models(), 0);
+}
+
+TEST_P(SimDevices, HotSwapChargesBothGenerationsUntilDrained) {
+  const int devices = GetParam();
+  const auto x1 = random_factors(20, 8, 401);
+  const auto t1 = random_factors(50, 8, 402);
+  const auto x2 = random_factors(20, 8, 403);
+  const auto t2 = random_factors(50, 8, 404);
+
+  SimGroup sim(devices, gpusim::titan_x());
+  EXPECT_EQ(sim.backend.resident_models(), 0);
+
+  // No admission hook: each generation is charged lazily by the first batch
+  // that pins it.
+  serve::LiveFactorStore live(serve::FactorStore(x1, t1, 2));
+  serve::TopKOptions opt;
+  opt.backend = &sim.backend;
+  opt.user_block = 8;
+  const serve::TopKEngine engine(live, opt);
+
+  const std::vector<idx_t> users = {0, 1, 2, 3, 4, 5, 6, 7};
+  (void)engine.recommend(users, 5);
+  const bytes_t per_model = sim.backend.model_bytes();
+  EXPECT_GT(per_model, 0u);
+  EXPECT_EQ(sim.used_bytes(), per_model);
+  EXPECT_EQ(sim.backend.resident_models(), 1);
+
+  // An in-flight reader pins generation 1 across the swap: serving the next
+  // batch makes both models resident — the transient swap peak.
+  auto pin = live.pin();
+  ASSERT_TRUE(live.refresh(serve::FactorStore(x2, t2, 2)).swapped);
+  const auto batch = engine.recommend_batch(users, 5);
+  EXPECT_EQ(batch.generation, 2u);
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    EXPECT_EQ(batch.lists[i], brute_force_topk(x2, t2, users[i], 5));
+  }
+  EXPECT_EQ(sim.backend.resident_models(), 2);
+  EXPECT_EQ(sim.used_bytes(), 2 * per_model);
+  EXPECT_EQ(sim.peak_bytes(), 2 * per_model);
+
+  // Release the pin: generation 1 has drained, and the next batch boundary
+  // returns its capacity. The high-water marks keep the swap peak visible.
+  pin.store.reset();
+  (void)engine.recommend(users, 5);
+  EXPECT_EQ(sim.backend.resident_models(), 1);
+  EXPECT_EQ(sim.used_bytes(), per_model);
+  EXPECT_EQ(sim.peak_bytes(), 2 * per_model);
+}
+
+TEST_P(SimDevices, TightDevicesOomOnSwapOnlyWhileOldGenerationPinned) {
+  const int devices = GetParam();
+  const int shards = 2 * devices;  // two equal shards per device
+  const auto x1 = random_factors(16, 8, 411);
+  const auto t1 = random_factors(40, 8, 412);
+  const auto x2 = random_factors(16, 8, 413);
+  const auto t2 = random_factors(40, 8, 414);
+
+  // Each device fits its share of one generation (X replica + two shards)
+  // with headroom, never two.
+  const serve::FactorStore probe(x1, t1, shards);
+  const bytes_t share =
+      serve::MultiDeviceScoringBackend::replica_bytes(probe) +
+      2 * serve::MultiDeviceScoringBackend::shard_bytes(probe.shard(0), 8);
+  SimGroup sim(devices, gpusim::tiny_device(share + share / 2));
+
+  serve::LiveFactorStore live(serve::FactorStore(x1, t1, shards));
+  serve::TopKOptions opt;
+  opt.backend = &sim.backend;
+  const serve::TopKEngine engine(live, opt);
+
+  const std::vector<idx_t> users = {0, 1, 2, 3};
+  (void)engine.recommend(users, 5);
+  const bytes_t per_model = share * static_cast<bytes_t>(devices);
+  EXPECT_EQ(sim.used_bytes(), per_model);
+
+  // While generation 1 is pinned by a reader, charging generation 2 exceeds
+  // capacity: the both-resident peak surfaces as the same eq.-8 OOM pressure
+  // training feels, instead of silently under-accounting the swap.
+  auto pin = live.pin();
+  ASSERT_TRUE(live.refresh(serve::FactorStore(x2, t2, shards)).swapped);
+  EXPECT_THROW((void)engine.recommend(users, 5), gpusim::DeviceOomError);
+  EXPECT_EQ(sim.used_bytes(), per_model);  // nothing torn
+
+  // Once the reader drains, the swap completes within capacity.
+  pin.store.reset();
+  const auto batch = engine.recommend_batch(users, 5);
+  EXPECT_EQ(batch.generation, 2u);
+  EXPECT_EQ(batch.lists[0], brute_force_topk(x2, t2, 0, 5));
+  EXPECT_EQ(sim.backend.resident_models(), 1);
+  EXPECT_EQ(sim.used_bytes(), per_model);
 }
 
 TEST(MultiDeviceBackend, KLargerThanPerDeviceCandidates) {
@@ -109,7 +380,7 @@ TEST(MultiDeviceBackend, KLargerThanPerDeviceCandidates) {
   const serve::FactorStore store(x, theta, 4);
   const auto topo = gpusim::PcieTopology::flat(4);
   gpusim::DeviceGroup group(4, gpusim::titan_x(), topo);
-  serve::MultiDeviceScoringBackend backend(group, topo, store);
+  serve::MultiDeviceScoringBackend backend(group, topo);
   serve::TopKOptions opt;
   opt.backend = &backend;
   const serve::TopKEngine engine(store, opt);
@@ -124,27 +395,22 @@ TEST(MultiDeviceBackend, KLargerThanPerDeviceCandidates) {
 }
 
 TEST(MultiDeviceBackend, CatalogTooBigForOneDeviceServesOnTwo) {
-  const auto store = capacity_store(4);
+  const auto store = shared_capacity_store(4);
 
-  // Single simulated device: the whole model exceeds capacity.
-  {
-    gpusim::Device dev(0, gpusim::tiny_device(kCapDevice));
-    EXPECT_THROW(serve::GpuSimScoringBackend(dev, store),
-                 gpusim::DeviceOomError);
-  }
-  // Multi-device backend on one device of the same size: still OOM.
+  // One simulated device: the whole model exceeds capacity.
   {
     const auto topo = gpusim::PcieTopology::flat(1);
     gpusim::DeviceGroup group(1, gpusim::tiny_device(kCapDevice), topo);
-    EXPECT_THROW(serve::MultiDeviceScoringBackend(group, topo, store),
-                 gpusim::DeviceOomError);
+    serve::MultiDeviceScoringBackend backend(group, topo);
+    EXPECT_THROW(backend.admit(store), gpusim::DeviceOomError);
     EXPECT_EQ(group[0].used_bytes(), 0u);  // rollback left no torn charge
   }
   // Two devices: the shards spread and serving matches brute force.
   {
     const auto topo = gpusim::PcieTopology::flat(2);
     gpusim::DeviceGroup group(2, gpusim::tiny_device(kCapDevice), topo);
-    serve::MultiDeviceScoringBackend backend(group, topo, store);
+    serve::MultiDeviceScoringBackend backend(group, topo);
+    backend.admit(store);
     EXPECT_GT(group[0].used_bytes(), 0u);
     EXPECT_GT(group[1].used_bytes(), 0u);
     EXPECT_EQ(backend.model_bytes(),
@@ -153,38 +419,41 @@ TEST(MultiDeviceBackend, CatalogTooBigForOneDeviceServesOnTwo) {
 
     serve::TopKOptions opt;
     opt.backend = &backend;
-    const serve::TopKEngine engine(store, opt);
+    const serve::TopKEngine engine(*store, opt);
     const auto x2 = random_factors(kCapUsers, kCapF, 1);
     const auto t2 = random_factors(kCapItems, kCapF, 2);
     for (const idx_t u : {0, 50, 99}) {
       EXPECT_EQ(engine.recommend_one(u, 10), brute_force_topk(x2, t2, u, 10));
     }
+    EXPECT_EQ(backend.resident_models(), 1);  // the engine reused the charge
   }
 }
 
 TEST(MultiDeviceBackend, PlacementFollowsFreeCapacity) {
-  const auto store = capacity_store(4);
+  const auto store = shared_capacity_store(4);
   const auto topo = gpusim::PcieTopology::flat(2);
   gpusim::DeviceGroup group(2, gpusim::tiny_device(200'000), topo);
   // Ballast on device 0 (another tenant): 5 KB left cannot hold the replica
   // plus any shard, so every shard must land on device 1.
   group[0].charge(195'000);
-  serve::MultiDeviceScoringBackend backend(group, topo, store);
+  serve::MultiDeviceScoringBackend backend(group, topo);
+  backend.admit(store);
 
-  const auto placement = backend.shard_devices(store);
+  const auto placement = backend.shard_devices(*store);
   ASSERT_EQ(placement.size(), 4u);
   for (const int d : placement) EXPECT_EQ(d, 1);
   EXPECT_EQ(group[0].used_bytes(), 195'000u);  // ballast only, no replica
-  EXPECT_EQ(backend.placement_imbalance(store), 1.0);  // one active device
+  EXPECT_EQ(backend.placement_imbalance(*store), 1.0);  // one active device
 }
 
 TEST(MultiDeviceBackend, UnevenPlacementReportsImbalance) {
   // 3 shards on 2 devices: one device carries two shards — imbalance ≈ 4/3.
-  const auto store = capacity_store(3);
+  const auto store = shared_capacity_store(3);
   const auto topo = gpusim::PcieTopology::flat(2);
   gpusim::DeviceGroup group(2, gpusim::titan_x(), topo);
-  serve::MultiDeviceScoringBackend backend(group, topo, store);
-  const double imbalance = backend.placement_imbalance(store);
+  serve::MultiDeviceScoringBackend backend(group, topo);
+  backend.admit(store);
+  const double imbalance = backend.placement_imbalance(*store);
   EXPECT_GT(imbalance, 1.2);
   EXPECT_LT(imbalance, 1.5);
 }
@@ -195,7 +464,7 @@ TEST(MultiDeviceBackend, AccountsKernelsAndGatherTransfersPerDevice) {
   const serve::FactorStore store(x, theta, 4);
   const auto topo = gpusim::PcieTopology::flat(2);
   gpusim::DeviceGroup group(2, gpusim::titan_x(), topo);
-  serve::MultiDeviceScoringBackend backend(group, topo, store);
+  serve::MultiDeviceScoringBackend backend(group, topo);
   serve::TopKOptions opt;
   opt.backend = &backend;
   opt.user_block = 32;
@@ -225,7 +494,7 @@ TEST(MultiDeviceBackend, EmitsMergeKernelAndTransferSpans) {
   const auto store = capacity_store(4, 51);
   const auto topo = gpusim::PcieTopology::flat(2);
   gpusim::DeviceGroup group(2, gpusim::titan_x(), topo);
-  serve::MultiDeviceScoringBackend backend(group, topo, store);
+  serve::MultiDeviceScoringBackend backend(group, topo);
   serve::TopKOptions opt;
   opt.backend = &backend;
   const serve::TopKEngine engine(store, opt);

@@ -518,7 +518,7 @@ TEST(TcpServer, LoopbackAnswersBitIdenticalToDirectEngine) {
   for (idx_t u = 0; u < LoopbackFixture::kUsers; ++u) {
     const QueryResponse resp = client.query(u, LoopbackFixture::kK);
     ASSERT_EQ(resp.status, Status::kOk) << "user=" << u;
-    EXPECT_EQ(resp.generation, 0u);  // static store
+    EXPECT_EQ(resp.generation, 1u);  // fixed store: generation 1 for life
     EXPECT_EQ(resp.items, fx.engine.recommend_one(u, LoopbackFixture::kK))
         << "user=" << u;
   }

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "gpusim/device.hpp"
-#include "gpusim/device_spec.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/factor_store.hpp"
@@ -191,125 +189,6 @@ TEST(TopKEngine, EmptyQueryAndZeroK) {
 
   EXPECT_TRUE(engine.recommend({}, 5).empty());
   EXPECT_TRUE(engine.recommend_one(0, 0).empty());
-}
-
-// ------------------------------------------------- GpuSimScoringBackend ----
-
-TEST(GpuSimScoringBackend, BitIdenticalToCpuAndBruteForceAcrossConfigs) {
-  const idx_t m = 30, n = 113;
-  const int f = 12;
-  const auto x = random_factors(m, f, 201);
-  auto theta = random_factors(n, f, 202);
-  // Spread the item norms so the prune configurations actually prune.
-  for (idx_t v = 0; v < theta.rows(); ++v) {
-    const real_t scale = real_t{1} / static_cast<real_t>(1 + v);
-    for (int j = 0; j < theta.f(); ++j) theta.row(v)[j] *= scale;
-  }
-  const auto R = random_ratings(m, n, 300, 203);
-
-  std::vector<idx_t> users(static_cast<std::size_t>(m));
-  for (idx_t u = 0; u < m; ++u) users[static_cast<std::size_t>(u)] = u;
-
-  for (const int shards : {1, 3}) {
-    const serve::FactorStore store(x, theta, shards);
-    for (const bool prune : {true, false}) {
-      for (const bool exclude : {true, false}) {
-        for (const int block : {1, 7}) {
-          serve::TopKOptions base;
-          base.user_block = block;
-          base.prune = prune;
-          base.exclude_rated = exclude ? &R : nullptr;
-
-          serve::TopKOptions cpu_opt = base;
-          const serve::TopKEngine cpu_engine(store, cpu_opt);
-
-          gpusim::Device dev(0, gpusim::titan_x());
-          serve::GpuSimScoringBackend backend(dev, store);
-          serve::TopKOptions gpu_opt = base;
-          gpu_opt.backend = &backend;
-          const serve::TopKEngine gpu_engine(store, gpu_opt);
-
-          const auto want = cpu_engine.recommend(users, 9);
-          const auto got = gpu_engine.recommend(users, 9);
-          for (std::size_t i = 0; i < users.size(); ++i) {
-            ASSERT_EQ(got[i], want[i])
-                << "shards=" << shards << " prune=" << prune
-                << " exclude=" << exclude << " block=" << block
-                << " user=" << users[i];
-            const auto brute = brute_force_topk(x, theta, users[i], 9,
-                                                exclude ? &R : nullptr);
-            ASSERT_EQ(got[i], brute) << "vs brute force, user=" << users[i];
-          }
-          // Both engines did identical logical work.
-          EXPECT_EQ(gpu_engine.items_scored(), cpu_engine.items_scored());
-          EXPECT_EQ(gpu_engine.items_pruned(), cpu_engine.items_pruned());
-        }
-      }
-    }
-  }
-}
-
-TEST(GpuSimScoringBackend, PopulatesDeviceCountersPerBatch) {
-  const idx_t m = 24, n = 90;
-  const int f = 8;
-  const auto x = random_factors(m, f, 211);
-  const auto theta = random_factors(n, f, 212);
-  const serve::FactorStore store(x, theta, 3);
-
-  gpusim::Device dev(0, gpusim::titan_x());
-  serve::GpuSimScoringBackend backend(dev, store);
-  serve::TopKOptions opt;
-  opt.user_block = 8;
-  opt.backend = &backend;
-  const serve::TopKEngine engine(store, opt);
-
-  EXPECT_EQ(dev.counters().kernels_launched, 0u);
-  std::vector<idx_t> users = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  (void)engine.recommend(users, 5);
-
-  const auto& c = dev.counters();
-  // 10 users in blocks of 8 = 2 blocks × 3 shards = 6 launches.
-  EXPECT_EQ(c.kernels_launched, 6u);
-  EXPECT_GT(c.flops, 0.0);
-  EXPECT_GT(c.global_read, 0u);     // θ rows streamed
-  EXPECT_GT(c.gathered_read, 0u);   // x_u gathers
-  EXPECT_GT(c.texture_read, 0u);    // routed via texture by default
-  EXPECT_GT(c.shared_read, 0u);     // per-dot replays of the cached block
-  EXPECT_GT(c.global_write, 0u);    // heap write-back
-  EXPECT_GT(dev.clock_seconds(), 0.0);
-
-  // flops are exactly 2·f per scored dot.
-  EXPECT_DOUBLE_EQ(c.flops, 2.0 * f * static_cast<double>(engine.items_scored()));
-
-  // The modeled-time axis is populated per batch and resets between batches.
-  const auto modeled = engine.batch_modeled_summary();
-  EXPECT_EQ(modeled.samples, 1u);
-  EXPECT_GT(modeled.p50_ms, 0.0);
-  const double clock_after_first = dev.clock_seconds();
-  (void)engine.recommend(users, 5);
-  EXPECT_GT(dev.clock_seconds(), clock_after_first);
-  EXPECT_EQ(engine.batch_modeled_summary().samples, 2u);
-}
-
-TEST(GpuSimScoringBackend, ChargesAndReleasesModelCapacity) {
-  const auto x = random_factors(50, 16, 221);
-  const auto theta = random_factors(200, 16, 222);
-  const serve::FactorStore store(x, theta, 2);
-
-  gpusim::Device dev(0, gpusim::titan_x());
-  {
-    serve::GpuSimScoringBackend backend(dev, store);
-    EXPECT_EQ(dev.used_bytes(), backend.model_bytes());
-    // X + Θ factors plus the per-row norm arrays.
-    EXPECT_EQ(backend.model_bytes(),
-              (50u + 200u) * 16u * sizeof(real_t) + (50u + 200u) * sizeof(double));
-  }
-  EXPECT_EQ(dev.used_bytes(), 0u);
-
-  // A model that does not fit raises the same OOM pressure as training.
-  gpusim::Device tiny(1, gpusim::tiny_device(1024));
-  EXPECT_THROW(serve::GpuSimScoringBackend(tiny, store),
-               gpusim::DeviceOomError);
 }
 
 TEST(TopKEngine, WallLatencyPercentilesPopulated) {
@@ -683,10 +562,12 @@ TEST(RequestBatcher, AnswersCarryTheServingGeneration) {
   const auto x = random_factors(12, 6, 65);
   const auto theta = random_factors(40, 6, 66);
   {
+    // A fixed store is served as generation 1 of an engine-owned live store.
     const serve::FactorStore store(x, theta, 2);
     const serve::TopKEngine engine(store);
     serve::RequestBatcher batcher(engine);
-    EXPECT_EQ(batcher.submit(1).get().generation, 0u);  // static store
+    EXPECT_EQ(batcher.submit(1).get().generation, 1u);
+    EXPECT_EQ(batcher.stats().refreshes, 0u);
   }
 
   serve::LiveFactorStore live(serve::FactorStore(x, theta, 2));
@@ -708,7 +589,6 @@ TEST(RequestBatcher, AnswersCarryTheServingGeneration) {
 class SlowBackend final : public serve::ScoringBackend {
  public:
   explicit SlowBackend(std::chrono::milliseconds delay) : delay_(delay) {}
-  [[nodiscard]] const char* name() const override { return "slow"; }
   serve::SweepCounters sweep(
       const serve::SweepTask& task,
       std::vector<std::vector<serve::Recommendation>>& out) override {
