@@ -15,10 +15,11 @@
 //
 // Mid-run a fresh model generation is hot-swapped into the live store, so
 // the CSV also shows the generation advancing under load. Client-measured
-// e2e percentiles ride next to the server's own ServeStats (queue-delay p99,
-// batch-wall p99, net e2e) fetched over the wire via the stats op, and every
-// row carries the latency SLO's fast-window burn rate plus lifetime
-// violations fetched via the GetHealth op.
+// e2e percentiles ride next to the server's own latency quantiles
+// (queue-delay p99, batch-wall p99, net e2e) read from the GetMetrics
+// exposition with obs::metric_value, and every row carries the latency SLO's
+// fast-window burn rate plus lifetime violations fetched via the GetHealth
+// op.
 //
 // The overload row doubles as a detect-and-recover check on the alerting
 // pipeline: the dump must drive the availability SLO into `page` (sheds
@@ -94,6 +95,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +107,7 @@
 #include "gpusim/device_spec.hpp"
 #include "gpusim/topology.hpp"
 #include "obs/events.hpp"
+#include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
@@ -121,7 +124,6 @@ namespace {
 
 using namespace cumf;
 using serve::net::Client;
-using serve::net::StatsResponse;
 using serve::net::Status;
 
 constexpr int kF = 16;
@@ -448,9 +450,8 @@ LoadResult open_loop_sharded(const std::string& host, std::uint16_t port,
         break;
       }
       serve::net::QueryResponse query;
-      StatsResponse stats;
       (void)serve::net::decode_response(c.in.data() + consumed + off, len,
-                                        &query, &stats);
+                                        &query);
       e2e.record(std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - c.t0s.front())
                      .count());
@@ -547,9 +548,52 @@ LoadResult open_loop_sharded(const std::string& host, std::uint16_t port,
   return r;
 }
 
-StatsResponse wire_stats(const std::string& host, std::uint16_t port) {
+/// The server-side figures a CSV row carries, read from the GetMetrics
+/// exposition — the same series a dashboard scrapes.
+struct ServerView {
+  double queue_p50_ms = 0.0;
+  double queue_p99_ms = 0.0;
+  double batch_wall_p99_ms = 0.0;
+  double net_e2e_p99_ms = 0.0;
+  double e2e_p99_ms = 0.0;
+  std::uint64_t e2e_total = 0;  // lifetime e2e samples recorded
+  std::uint64_t generation = 0;
+  std::uint64_t overload_sheds = 0;
+};
+
+/// One series of the exposition. A missing series means a metric family was
+/// renamed under the bench, so it fails loudly instead of writing zeros.
+double series(const std::string& text, const std::string& name) {
+  const auto v = obs::metric_value(text, name);
+  if (!v) throw std::runtime_error("serve_netload: exposition lacks " + name);
+  return *v;
+}
+
+double quantile_ms(const std::string& text, const char* stage, const char* q) {
+  return series(text, std::string("cumf_serve_latency_quantile_ms{stage=\"") +
+                          stage + "\",q=\"" + q + "\"}");
+}
+
+ServerView server_view(Client& client) {
+  const std::string text = client.metrics();
+  ServerView v;
+  v.queue_p50_ms = quantile_ms(text, "queue", "0.5");
+  v.queue_p99_ms = quantile_ms(text, "queue", "0.99");
+  v.batch_wall_p99_ms = quantile_ms(text, "batch_wall", "0.99");
+  v.net_e2e_p99_ms = quantile_ms(text, "net_e2e", "0.99");
+  v.e2e_p99_ms = quantile_ms(text, "e2e", "0.99");
+  v.e2e_total = static_cast<std::uint64_t>(
+      series(text, "cumf_serve_latency_ms_count{stage=\"e2e\"}"));
+  v.generation =
+      static_cast<std::uint64_t>(series(text, "cumf_serve_generation"));
+  v.overload_sheds =
+      static_cast<std::uint64_t>(series(text, "cumf_net_overload_sheds_total"));
+  return v;
+}
+
+ServerView wire_view(const std::string& host, std::uint16_t port) {
   Client client(host, port);
-  return client.stats();
+  return server_view(client);
 }
 
 serve::net::HealthResponse wire_health(const std::string& host,
@@ -559,7 +603,7 @@ serve::net::HealthResponse wire_health(const std::string& host,
 }
 
 void emit(util::CsvWriter& csv, const char* mode, int conns,
-          double offered_qps, const LoadResult& r, const StatsResponse& s,
+          double offered_qps, const LoadResult& r, const ServerView& s,
           const serve::net::HealthResponse& h) {
   std::printf("  %-8s %6d %11.0f %11.0f %9.2f %9.2f %9.2f %11.2f %13.2f %6d "
               "%4llu\n",
@@ -737,7 +781,7 @@ int main(int argc, char** argv) {
   // ---- closed loop: concurrency fills micro-batches ----------------------
   for (const int conns : {1, 4, 16}) {
     const auto r = closed_loop(host, port, conns, 250, users, k);
-    emit(csv, "closed", conns, 0.0, r, wire_stats(host, port),
+    emit(csv, "closed", conns, 0.0, r, wire_view(host, port),
          wire_health(host, port));
     print_transitions(r);  // hot swaps visible from the client side
     total_errors += r.errors;
@@ -758,7 +802,7 @@ int main(int argc, char** argv) {
   for (const double offered : {2000.0, 8000.0, 20000.0}) {
     const int total = std::min(6000, static_cast<int>(offered * 0.4));
     const auto r = open_loop(host, port, offered, total, users, k);
-    emit(csv, "open", 1, offered, r, wire_stats(host, port),
+    emit(csv, "open", 1, offered, r, wire_view(host, port),
          wire_health(host, port));
     print_transitions(r);  // the mid-sweep swap (or a --daemon promotion)
     total_errors += r.errors;
@@ -777,7 +821,7 @@ int main(int argc, char** argv) {
         {Shape::kDiurnal, sweep_conns}}) {
     const auto r = open_loop_sharded(host, port, shape, conns, sweep_qps,
                                      sweep_total, users, k);
-    emit(csv, shape_name(shape), conns, sweep_qps, r, wire_stats(host, port),
+    emit(csv, shape_name(shape), conns, sweep_qps, r, wire_view(host, port),
          wire_health(host, port));
     total_errors += r.errors + r.overloaded;  // sheds are failures *here*
   }
@@ -834,11 +878,11 @@ int main(int argc, char** argv) {
                                      Shape::kUnthrottled, oconns, 0.0, ototal,
                                      users, k);
     const auto during = overload_slo.snapshot();
-    StatsResponse os;
+    ServerView os;
     serve::net::HealthResponse oh;
     {
       Client probe("127.0.0.1", overload_server.port());
-      os = probe.stats();
+      os = server_view(probe);
       oh = probe.health();
       // Recovery: with the dump drained the same admission bound serves
       // normally again.
@@ -853,7 +897,7 @@ int main(int argc, char** argv) {
     std::printf("    overload dump: %d queries -> %d served, %d shed "
                 "(server counter %llu), %d errors\n",
                 ototal, ototal - r.overloaded - r.errors, r.overloaded,
-                static_cast<unsigned long long>(os.net_overload_sheds),
+                static_cast<unsigned long long>(os.overload_sheds),
                 r.errors);
     total_errors += r.errors;
     if (r.overloaded == 0) {
@@ -894,15 +938,14 @@ int main(int argc, char** argv) {
   }
 
   // ---- the accounting invariant, printed for the record ------------------
-  const auto s = wire_stats(host, port);
+  const auto s = wire_view(host, port);
   std::printf("\n  server e2e p99 %.2f ms >= batch-wall p99 %.2f ms: %s "
               "(holds by construction: cache off, every query contains its "
               "batch)\n",
               s.e2e_p99_ms, s.batch_wall_p99_ms,
               s.e2e_p99_ms >= s.batch_wall_p99_ms ? "yes" : "NO (?)");
-  std::printf("  e2e percentiles over %llu window samples "
+  std::printf("  e2e percentiles over the recent window "
               "(%llu recorded lifetime); queue-delay p99 %.2f ms\n",
-              static_cast<unsigned long long>(s.e2e_samples),
               static_cast<unsigned long long>(s.e2e_total), s.queue_p99_ms);
   if (!external) {
     std::printf("  final serving generation: %llu (one hot swap mid-sweep)\n",

@@ -1,8 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace cumf::obs {
@@ -53,15 +55,17 @@ void append_labels(std::string* out, const Labels& labels,
 }
 
 /// Numbers render compactly: integers without a fraction, everything else
-/// with enough digits to round-trip.
+/// in the shortest form that round-trips, so metric_value() reads back the
+/// exact double that was exposed.
 void append_number(std::string* out, double v) {
   char buf[64];
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
     std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    *out += buf;
+    return;
   }
-  *out += buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
 }
 
 }  // namespace
@@ -225,6 +229,28 @@ std::string MetricsRegistry::expose() const {
     }
   }
   return out;
+}
+
+std::optional<double> metric_value(std::string_view text,
+                                   std::string_view series) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.size() <= series.size() + 1 ||
+        line.substr(0, series.size()) != series || line[series.size()] != ' ') {
+      continue;
+    }
+    // strtod needs a terminator; the value is short, so copy it out.
+    const std::string value(line.substr(series.size() + 1));
+    char* stop = nullptr;
+    const double v = std::strtod(value.c_str(), &stop);
+    if (stop == value.c_str()) return std::nullopt;
+    return v;
+  }
+  return std::nullopt;
 }
 
 }  // namespace cumf::obs

@@ -23,7 +23,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,5 +154,13 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
 };
+
+/// Reads one sample back out of exposition text written by expose(): the
+/// value on the line `<series> <value>`, where `series` is the name plus its
+/// label set exactly as rendered, e.g. `cumf_serve_queries_total` or
+/// `cumf_serve_latency_quantile_ms{stage="e2e",q="0.99"}`. nullopt when no
+/// line carries that series or its value does not parse.
+[[nodiscard]] std::optional<double> metric_value(std::string_view text,
+                                                 std::string_view series);
 
 }  // namespace cumf::obs

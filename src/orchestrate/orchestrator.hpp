@@ -44,7 +44,7 @@
 //
 // History and counters: every cycle appends a CycleRecord (audit trail), and
 // counters() exports OrchestratorStats for ServeStats::orchestrator so the
-// existing stats op reports the retrain loop next to the serving numbers.
+// GetMetrics exposition reports the retrain loop next to the serving numbers.
 
 #include <chrono>
 #include <condition_variable>

@@ -42,7 +42,7 @@
 namespace cumf::orchestrate {
 
 /// Which training tier produced a candidate. Numeric values are stable: they
-/// ride the wire stats op and the orch.train trace arg.
+/// ride the cumf_orchestrator_train_tier gauge and the orch.train trace arg.
 enum class TrainTier : std::uint8_t {
   kFullAls = 0,
   kIncrementalSgd = 1,

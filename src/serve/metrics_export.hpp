@@ -4,11 +4,12 @@
 // the Prometheus-style exposition text the GetMetrics protocol op serves.
 //
 // ServeStats stays the typed in-process view the components maintain; this
-// translation is the single place its fields map onto metric families, so
-// the exposition's counters agree with the stats op by construction — both
-// are rendered from the same snapshot. Latency stages share one histogram
-// family (cumf_serve_latency_ms{stage=...}) fed from the trackers' fixed
-// buckets (kLatencyBucketBoundsMs), plus window-percentile gauges.
+// translation is the single place its fields map onto metric families, and
+// GetMetrics is the only way those counters leave the process — a new
+// counter is written into ServeStats and here, nowhere else. Latency stages
+// share one histogram family (cumf_serve_latency_ms{stage=...}) fed from the
+// trackers' fixed buckets (kLatencyBucketBoundsMs), plus window-percentile
+// gauges.
 
 #include <string>
 

@@ -81,6 +81,17 @@ void Client::read_frame(std::size_t* payload_off, std::size_t* payload_len) {
   }
 }
 
+MsgType Client::read_response(QueryResponse* query, std::string* metrics,
+                              HealthResponse* health) {
+  std::size_t off = 0, len = 0;
+  read_frame(&off, &len);
+  const MsgType type =
+      decode_response(buf_.data() + off, len, query, metrics, health);
+  buf_.erase(buf_.begin(),
+             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
+  return type;
+}
+
 void Client::send_query(idx_t user, int k) {
   std::vector<std::uint8_t> frame;
   encode_query_request(QueryRequest{user, k}, &frame);
@@ -88,14 +99,8 @@ void Client::send_query(idx_t user, int k) {
 }
 
 QueryResponse Client::read_query_response() {
-  std::size_t off = 0, len = 0;
-  read_frame(&off, &len);
   QueryResponse query;
-  StatsResponse stats;
-  const MsgType type = decode_response(buf_.data() + off, len, &query, &stats);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
-  if (type != MsgType::kQuery) {
+  if (read_response(&query) != MsgType::kQuery) {
     throw ProtocolError("expected a query response");
   }
   return query;
@@ -113,14 +118,8 @@ void Client::send_add_rating(idx_t user, idx_t item, double value) {
 }
 
 Status Client::read_add_rating_response() {
-  std::size_t off = 0, len = 0;
-  read_frame(&off, &len);
   QueryResponse query;
-  StatsResponse stats;
-  const MsgType type = decode_response(buf_.data() + off, len, &query, &stats);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
-  if (type != MsgType::kAddRating) {
+  if (read_response(&query) != MsgType::kAddRating) {
     throw ProtocolError("expected an add-rating response");
   }
   return query.status;
@@ -136,16 +135,9 @@ std::string Client::metrics() {
   encode_metrics_request(&frame);
   send_all(frame.data(), frame.size());
 
-  std::size_t off = 0, len = 0;
-  read_frame(&off, &len);
   QueryResponse query;
-  StatsResponse stats;
   std::string text;
-  const MsgType type =
-      decode_response(buf_.data() + off, len, &query, &stats, &text);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
-  if (type != MsgType::kMetrics) {
+  if (read_response(&query, &text) != MsgType::kMetrics) {
     throw ProtocolError("expected a metrics response");
   }
   return text;
@@ -156,37 +148,12 @@ HealthResponse Client::health() {
   encode_health_request(&frame);
   send_all(frame.data(), frame.size());
 
-  std::size_t off = 0, len = 0;
-  read_frame(&off, &len);
   QueryResponse query;
-  StatsResponse stats;
   HealthResponse health;
-  const MsgType type = decode_response(buf_.data() + off, len, &query, &stats,
-                                       nullptr, &health);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
-  if (type != MsgType::kHealth) {
+  if (read_response(&query, nullptr, &health) != MsgType::kHealth) {
     throw ProtocolError("expected a health response");
   }
   return health;
-}
-
-StatsResponse Client::stats() {
-  std::vector<std::uint8_t> frame;
-  encode_stats_request(&frame);
-  send_all(frame.data(), frame.size());
-
-  std::size_t off = 0, len = 0;
-  read_frame(&off, &len);
-  QueryResponse query;
-  StatsResponse stats;
-  const MsgType type = decode_response(buf_.data() + off, len, &query, &stats);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(off + len));
-  if (type != MsgType::kStats) {
-    throw ProtocolError("expected a stats response");
-  }
-  return stats;
 }
 
 }  // namespace cumf::serve::net

@@ -32,11 +32,9 @@ class Client {
   /// Synchronous round trip: top-k recommendations for `user`.
   QueryResponse query(idx_t user, int k);
 
-  /// Synchronous round trip: the server's ServeStats snapshot.
-  StatsResponse stats();
-
-  /// Synchronous round trip: the server's metrics in the Prometheus text
-  /// exposition format (the GetMetrics op).
+  /// Synchronous round trip: the server's counters in the Prometheus text
+  /// exposition format (the GetMetrics op); obs::metric_value() reads one
+  /// series out of it.
   std::string metrics();
 
   /// Synchronous round trip: the server's SLO health view — alert states,
@@ -59,6 +57,10 @@ class Client {
   /// Reads until a complete frame is buffered; returns its payload within
   /// buf_ (valid until the next read call).
   void read_frame(std::size_t* payload_off, std::size_t* payload_len);
+  /// Reads and decodes the next response frame (see decode_response) and
+  /// drops it from buf_; returns its type for the caller to check.
+  MsgType read_response(QueryResponse* query, std::string* metrics = nullptr,
+                        HealthResponse* health = nullptr);
 
   int fd_ = -1;
   std::vector<std::uint8_t> buf_;  // receive accumulation

@@ -115,65 +115,12 @@ std::size_t open_frame(std::vector<std::uint8_t>* out) {
 
 }  // namespace
 
-StatsResponse stats_from(const ServeStats& s) {
-  StatsResponse w;
-  w.queries = s.queries;
-  w.batches = s.batches;
-  w.cache_hits = s.cache_hits;
-  w.cache_misses = s.cache_misses;
-  w.generation = s.generation;
-  w.e2e_samples = s.e2e.samples;
-  w.e2e_total = s.e2e.total_recorded;
-  w.e2e_p50_ms = s.e2e.p50_ms;
-  w.e2e_p95_ms = s.e2e.p95_ms;
-  w.e2e_p99_ms = s.e2e.p99_ms;
-  w.queue_p50_ms = s.queue_delay.p50_ms;
-  w.queue_p99_ms = s.queue_delay.p99_ms;
-  w.batch_wall_p99_ms = s.batch_wall.p99_ms;
-  w.net_e2e_p99_ms = s.net_e2e.p99_ms;
-  w.retrains = s.orchestrator.retrains;
-  w.promotions = s.orchestrator.promotions;
-  w.rejections = s.orchestrator.rejections;
-  w.rollbacks = s.orchestrator.rollbacks;
-  w.deltas_ingested = s.orchestrator.deltas_ingested;
-  w.deltas_rejected = s.orchestrator.deltas_rejected;
-  w.gate_rmse = s.orchestrator.last_gate_rmse;
-  w.gate_recall = s.orchestrator.last_gate_recall;
-  w.baseline_rmse = s.orchestrator.baseline_rmse;
-  w.baseline_recall = s.orchestrator.baseline_recall;
-  w.train_wall_ms = s.orchestrator.last_train_wall_ms;
-  w.train_modeled_s = s.orchestrator.last_train_modeled_s;
-  w.retrains_full = s.orchestrator.retrains_full;
-  w.retrains_incremental = s.orchestrator.retrains_incremental;
-  w.promotions_full = s.orchestrator.promotions_full;
-  w.promotions_incremental = s.orchestrator.promotions_incremental;
-  w.rejections_full = s.orchestrator.rejections_full;
-  w.rejections_incremental = s.orchestrator.rejections_incremental;
-  w.escalations = s.orchestrator.escalations;
-  w.consolidations = s.orchestrator.consolidations;
-  w.train_tier = s.orchestrator.last_train_tier;
-  w.net_connections = s.net.connections_accepted;
-  w.net_rejected = s.net.connections_rejected;
-  w.net_protocol_errors = s.net.protocol_errors;
-  w.net_recv_errors = s.net.recv_errors;
-  w.net_slow_closes = s.net.slow_client_closes;
-  w.net_overload_sheds = s.net.overload_sheds;
-  w.net_io_shards = s.net.io_shards;
-  return w;
-}
-
 void encode_query_request(const QueryRequest& req,
                           std::vector<std::uint8_t>* out) {
   const std::size_t mark = open_frame(out);
   put_u8(out, static_cast<std::uint8_t>(MsgType::kQuery));
   put_i32(out, req.user);
   put_i32(out, req.k);
-  seal_frame(out, mark);
-}
-
-void encode_stats_request(std::vector<std::uint8_t>* out) {
-  const std::size_t mark = open_frame(out);
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kStats));
   seal_frame(out, mark);
 }
 
@@ -218,56 +165,6 @@ void encode_query_response(const QueryResponse& resp,
     put_i32(out, rec.item);
     put_f64(out, rec.score);
   }
-  seal_frame(out, mark);
-}
-
-void encode_stats_response(const StatsResponse& resp,
-                           std::vector<std::uint8_t>* out) {
-  const std::size_t mark = open_frame(out);
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kStats));
-  put_u8(out, static_cast<std::uint8_t>(Status::kOk));
-  put_u64(out, resp.queries);
-  put_u64(out, resp.batches);
-  put_u64(out, resp.cache_hits);
-  put_u64(out, resp.cache_misses);
-  put_u64(out, resp.generation);
-  put_u64(out, resp.e2e_samples);
-  put_u64(out, resp.e2e_total);
-  put_f64(out, resp.e2e_p50_ms);
-  put_f64(out, resp.e2e_p95_ms);
-  put_f64(out, resp.e2e_p99_ms);
-  put_f64(out, resp.queue_p50_ms);
-  put_f64(out, resp.queue_p99_ms);
-  put_f64(out, resp.batch_wall_p99_ms);
-  put_f64(out, resp.net_e2e_p99_ms);
-  put_u64(out, resp.retrains);
-  put_u64(out, resp.promotions);
-  put_u64(out, resp.rejections);
-  put_u64(out, resp.rollbacks);
-  put_u64(out, resp.deltas_ingested);
-  put_u64(out, resp.deltas_rejected);
-  put_f64(out, resp.gate_rmse);
-  put_f64(out, resp.gate_recall);
-  put_f64(out, resp.baseline_rmse);
-  put_f64(out, resp.baseline_recall);
-  put_f64(out, resp.train_wall_ms);
-  put_f64(out, resp.train_modeled_s);
-  put_u64(out, resp.retrains_full);
-  put_u64(out, resp.retrains_incremental);
-  put_u64(out, resp.promotions_full);
-  put_u64(out, resp.promotions_incremental);
-  put_u64(out, resp.rejections_full);
-  put_u64(out, resp.rejections_incremental);
-  put_u64(out, resp.escalations);
-  put_u64(out, resp.consolidations);
-  put_u64(out, resp.train_tier);
-  put_u64(out, resp.net_connections);
-  put_u64(out, resp.net_rejected);
-  put_u64(out, resp.net_protocol_errors);
-  put_u64(out, resp.net_recv_errors);
-  put_u64(out, resp.net_slow_closes);
-  put_u64(out, resp.net_overload_sheds);
-  put_u64(out, resp.net_io_shards);
   seal_frame(out, mark);
 }
 
@@ -363,9 +260,6 @@ Request decode_request(const std::uint8_t* payload, std::size_t len) {
       req.query.user = r.i32();
       req.query.k = r.i32();
       break;
-    case MsgType::kStats:
-      req.type = MsgType::kStats;
-      break;
     case MsgType::kMetrics:
       req.type = MsgType::kMetrics;
       break;
@@ -386,8 +280,8 @@ Request decode_request(const std::uint8_t* payload, std::size_t len) {
 }
 
 MsgType decode_response(const std::uint8_t* payload, std::size_t len,
-                        QueryResponse* query, StatsResponse* stats,
-                        std::string* metrics, HealthResponse* health) {
+                        QueryResponse* query, std::string* metrics,
+                        HealthResponse* health) {
   Reader r(payload, len);
   const auto type = r.u8();
   switch (static_cast<MsgType>(type)) {
@@ -409,53 +303,6 @@ MsgType decode_response(const std::uint8_t* payload, std::size_t len,
       }
       r.expect_done();
       return MsgType::kQuery;
-    }
-    case MsgType::kStats: {
-      (void)r.u8();  // status: stats responses always succeed
-      stats->queries = r.u64();
-      stats->batches = r.u64();
-      stats->cache_hits = r.u64();
-      stats->cache_misses = r.u64();
-      stats->generation = r.u64();
-      stats->e2e_samples = r.u64();
-      stats->e2e_total = r.u64();
-      stats->e2e_p50_ms = r.f64();
-      stats->e2e_p95_ms = r.f64();
-      stats->e2e_p99_ms = r.f64();
-      stats->queue_p50_ms = r.f64();
-      stats->queue_p99_ms = r.f64();
-      stats->batch_wall_p99_ms = r.f64();
-      stats->net_e2e_p99_ms = r.f64();
-      stats->retrains = r.u64();
-      stats->promotions = r.u64();
-      stats->rejections = r.u64();
-      stats->rollbacks = r.u64();
-      stats->deltas_ingested = r.u64();
-      stats->deltas_rejected = r.u64();
-      stats->gate_rmse = r.f64();
-      stats->gate_recall = r.f64();
-      stats->baseline_rmse = r.f64();
-      stats->baseline_recall = r.f64();
-      stats->train_wall_ms = r.f64();
-      stats->train_modeled_s = r.f64();
-      stats->retrains_full = r.u64();
-      stats->retrains_incremental = r.u64();
-      stats->promotions_full = r.u64();
-      stats->promotions_incremental = r.u64();
-      stats->rejections_full = r.u64();
-      stats->rejections_incremental = r.u64();
-      stats->escalations = r.u64();
-      stats->consolidations = r.u64();
-      stats->train_tier = r.u64();
-      stats->net_connections = r.u64();
-      stats->net_rejected = r.u64();
-      stats->net_protocol_errors = r.u64();
-      stats->net_recv_errors = r.u64();
-      stats->net_slow_closes = r.u64();
-      stats->net_overload_sheds = r.u64();
-      stats->net_io_shards = r.u64();
-      r.expect_done();
-      return MsgType::kStats;
     }
     case MsgType::kMetrics: {
       query->status = static_cast<Status>(r.u8());

@@ -5,32 +5,11 @@
 // A deliberately small, length-prefixed binary protocol: every message is one
 // frame, `u32 payload_len` followed by `payload_len` bytes of payload, all
 // integers little-endian (doubles are IEEE-754 bit patterns carried in a
-// little-endian u64). Four operations:
+// little-endian u64). Four operations, one type byte each:
 //
 //   QueryRequest  { u8 type=1, i32 user, i32 k }
 //   QueryResponse { u8 type=1, u8 status, u64 generation, u32 count,
 //                   count × { i32 item, f64 score } }
-//
-//   StatsRequest  { u8 type=2 }
-//   StatsResponse { u8 type=2, u8 status=0, u64 queries, u64 batches,
-//                   u64 cache_hits, u64 cache_misses, u64 generation,
-//                   u64 e2e_samples, u64 e2e_total,
-//                   f64 e2e_p50_ms, f64 e2e_p95_ms, f64 e2e_p99_ms,
-//                   f64 queue_p50_ms, f64 queue_p99_ms,
-//                   f64 batch_wall_p99_ms, f64 net_e2e_p99_ms,
-//                   u64 retrains, u64 promotions, u64 rejections,
-//                   u64 rollbacks, u64 deltas_ingested, u64 deltas_rejected,
-//                   f64 gate_rmse, f64 gate_recall,
-//                   f64 baseline_rmse, f64 baseline_recall,
-//                   f64 train_wall_ms, f64 train_modeled_s,
-//                   u64 retrains_full, u64 retrains_incremental,
-//                   u64 promotions_full, u64 promotions_incremental,
-//                   u64 rejections_full, u64 rejections_incremental,
-//                   u64 escalations, u64 consolidations, u64 train_tier,
-//                   u64 net_connections, u64 net_rejected,
-//                   u64 net_protocol_errors, u64 net_recv_errors,
-//                   u64 net_slow_closes, u64 net_overload_sheds,
-//                   u64 net_io_shards }
 //
 //   AddRatingRequest  { u8 type=3, i32 user, i32 item, f64 value }
 //   AddRatingResponse { u8 type=3, u8 status }
@@ -52,11 +31,15 @@
 //                                           f64 finish_ms },
 //                    u32 events_len, events_len bytes of UTF-8 }
 //
-// GetMetrics (type=4) returns the server's metrics in the Prometheus text
-// exposition format (serve/metrics_export.hpp): the same ServeStats
-// snapshot the stats op encodes, rendered as labeled counter/gauge/
-// histogram families. The text rides as a length-prefixed byte string
-// inside the frame; kMaxPayload bounds it like every other payload.
+// Type 2 is retired and must not be reused: a frame carrying it is an
+// unknown type and a ProtocolError like any other.
+//
+// GetMetrics (type=4) is the only way counters leave the process: the
+// server's ServeStats snapshot rendered in the Prometheus text exposition
+// format (serve/metrics_export.hpp) as labeled counter/gauge/histogram
+// families; obs::metric_value() reads one series back out. The text rides
+// as a length-prefixed byte string inside the frame; kMaxPayload bounds it
+// like every other payload.
 //
 // GetHealth (type=5) is the SLO/incident view (obs/slo.hpp, obs/events.hpp):
 // alert states (0 ok / 1 warn / 2 page) and fast/slow burn rates for the
@@ -70,7 +53,7 @@
 // AddRating feeds the retrain orchestrator's RatingLog (src/orchestrate/):
 // a server without an ingest sink attached answers kBadRequest; one with a
 // sink answers kOk when the delta was accepted and kBadUser when the user
-// or item id falls outside the training matrix. The stats tail reports the
+// or item id falls outside the training matrix. GetMetrics reports the
 // orchestrator counters (all-zero without an orchestrator) so promotion /
 // rejection activity is observable over the same socket queries ride.
 //
@@ -89,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/serve_stats.hpp"
 #include "serve/topk.hpp"
 #include "util/types.hpp"
 
@@ -105,7 +87,7 @@ inline constexpr std::size_t kFramePrefix = 4;
 
 enum class MsgType : std::uint8_t {
   kQuery = 1,
-  kStats = 2,
+  // 2 is retired; never reuse it.
   kAddRating = 3,
   kMetrics = 4,
   kHealth = 5,
@@ -154,65 +136,6 @@ struct QueryResponse {
   std::vector<Recommendation> items;
 };
 
-/// Wire form of the ServeStats slice an operator polls over the socket.
-struct StatsResponse {
-  std::uint64_t queries = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t generation = 0;
-  std::uint64_t e2e_samples = 0;  // window behind the e2e percentiles
-  std::uint64_t e2e_total = 0;    // lifetime e2e samples recorded
-  double e2e_p50_ms = 0.0;
-  double e2e_p95_ms = 0.0;
-  double e2e_p99_ms = 0.0;
-  double queue_p50_ms = 0.0;
-  double queue_p99_ms = 0.0;
-  double batch_wall_p99_ms = 0.0;
-  double net_e2e_p99_ms = 0.0;
-  // Retrain-orchestrator slice (ServeStats::orchestrator); all-zero when the
-  // server has no orchestrator behind it.
-  std::uint64_t retrains = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t rejections = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t deltas_ingested = 0;
-  std::uint64_t deltas_rejected = 0;
-  double gate_rmse = 0.0;
-  double gate_recall = 0.0;
-  double baseline_rmse = 0.0;
-  double baseline_recall = 0.0;
-  double train_wall_ms = 0.0;
-  double train_modeled_s = 0.0;
-  // Per-tier retraining splits (0 = full ALS, 1 = incremental SGD). The
-  // aggregate counters above stay the sums; escalations counts incremental
-  // rejections that re-ran full ALS in-cycle, consolidations the auto
-  // tier's scheduled full passes, train_tier the tier of the latest pass.
-  std::uint64_t retrains_full = 0;
-  std::uint64_t retrains_incremental = 0;
-  std::uint64_t promotions_full = 0;
-  std::uint64_t promotions_incremental = 0;
-  std::uint64_t rejections_full = 0;
-  std::uint64_t rejections_incremental = 0;
-  std::uint64_t escalations = 0;
-  std::uint64_t consolidations = 0;
-  std::uint64_t train_tier = 0;
-  // Front-end slice (ServeStats::net): the sharded io layer's own counters,
-  // so overload shedding and client misbehaviour are observable over the
-  // same socket queries ride. All-zero when decoded from a pre-sharding
-  // server is impossible — the frame length would not match.
-  std::uint64_t net_connections = 0;       // accepted
-  std::uint64_t net_rejected = 0;          // admission control turned away
-  std::uint64_t net_protocol_errors = 0;   // closed for malformed frames
-  std::uint64_t net_recv_errors = 0;       // closed on hard recv() errors
-  std::uint64_t net_slow_closes = 0;       // closed for unread reply backlog
-  std::uint64_t net_overload_sheds = 0;    // queries answered kOverloaded
-  std::uint64_t net_io_shards = 0;         // epoll io threads serving
-};
-
-/// Builds the wire stats from a ServeStats snapshot.
-StatsResponse stats_from(const ServeStats& s);
-
 /// One slow-query exemplar on the wire: a traced query whose end-to-end time
 /// crossed the latency SLO threshold, with its per-stage breakdown
 /// (queue + engine + finish ≈ e2e by construction).
@@ -256,14 +179,11 @@ struct Request {
 // --- encoding: append one complete frame (length prefix included) ----------
 void encode_query_request(const QueryRequest& req,
                           std::vector<std::uint8_t>* out);
-void encode_stats_request(std::vector<std::uint8_t>* out);
 void encode_metrics_request(std::vector<std::uint8_t>* out);
 void encode_health_request(std::vector<std::uint8_t>* out);
 void encode_add_rating_request(const AddRatingRequest& req,
                                std::vector<std::uint8_t>* out);
 void encode_query_response(const QueryResponse& resp,
-                           std::vector<std::uint8_t>* out);
-void encode_stats_response(const StatsResponse& resp,
                            std::vector<std::uint8_t>* out);
 /// Truncates `text` to fit kMaxPayload (headers included) — a metrics dump
 /// must never make the frame undecodable.
@@ -286,13 +206,11 @@ bool try_frame(const std::uint8_t* data, std::size_t size,
 
 // --- decoding (payload bytes, prefix already stripped) ---------------------
 Request decode_request(const std::uint8_t* payload, std::size_t len);
-/// Decodes a response payload; *stats is filled when the frame is a stats
-/// response, *metrics (when non-null) for a metrics response, *health (when
-/// non-null) for a health response; for everything but kQuery the returned
-/// QueryResponse carries only `status`.
+/// Decodes a response payload; *metrics (when non-null) is filled for a
+/// metrics response, *health (when non-null) for a health response; for
+/// everything but kQuery the returned QueryResponse carries only `status`.
 MsgType decode_response(const std::uint8_t* payload, std::size_t len,
-                        QueryResponse* query, StatsResponse* stats,
-                        std::string* metrics = nullptr,
+                        QueryResponse* query, std::string* metrics = nullptr,
                         HealthResponse* health = nullptr);
 
 }  // namespace cumf::serve::net

@@ -322,17 +322,15 @@ bool TcpServer::handle_frame(Shard& sh, const std::shared_ptr<Conn>& conn,
   const bool can_inline = conn->inflight.load(std::memory_order_acquire) == 0;
   if (can_inline) flush_outbox(*conn);
 
-  if (req.type == MsgType::kStats || req.type == MsgType::kMetrics ||
-      req.type == MsgType::kHealth) {
-    // Snapshotting stats — and especially rendering the Prometheus
-    // exposition or the health event tail — is milliseconds of string work;
-    // doing it here would head-of-line block every connection on this shard,
-    // so the lane encodes it behind this connection's earlier replies.
+  if (req.type == MsgType::kMetrics || req.type == MsgType::kHealth) {
+    // Rendering the Prometheus exposition or the health event tail is
+    // milliseconds of string work; doing it here would head-of-line block
+    // every connection on this shard, so the lane encodes it behind this
+    // connection's earlier replies.
     Reply reply;
     reply.conn = conn;
-    reply.kind = req.type == MsgType::kStats     ? Reply::Kind::kStats
-                 : req.type == MsgType::kMetrics ? Reply::Kind::kMetrics
-                                                 : Reply::Kind::kHealth;
+    reply.kind = req.type == MsgType::kMetrics ? Reply::Kind::kMetrics
+                                               : Reply::Kind::kHealth;
     reply.t0 = t0;
     queue_reply(sh, std::move(reply));
     return true;
@@ -439,12 +437,7 @@ void TcpServer::completion_loop(int shard_index) {
         sh.queued_queries.fetch_sub(1, std::memory_order_acq_rel);
         break;
       }
-      case Reply::Kind::kStats:
-        encode_stats_response(stats_from(stats()), &encoded);
-        break;
       case Reply::Kind::kMetrics:
-        // Rendered from the same stats() snapshot the stats op encodes, so
-        // the two views agree whenever they are taken back to back.
         encode_metrics_response(metrics_exposition(stats()), &encoded);
         break;
       case Reply::Kind::kHealth:
@@ -537,7 +530,12 @@ void TcpServer::accept_loop(Shard& sh0) {
 
 bool TcpServer::process_in(Shard& sh, const std::shared_ptr<Conn>& conn) {
   std::size_t consumed = 0;
-  while (conn->inflight.load(std::memory_order_acquire) < opt_.max_inflight) {
+  bool capped = false;
+  for (;;) {
+    if (conn->inflight.load(std::memory_order_acquire) >= opt_.max_inflight) {
+      capped = true;
+      break;
+    }
     std::size_t payload_off = 0;
     std::size_t payload_len = 0;
     bool have = false;
@@ -559,13 +557,14 @@ bool TcpServer::process_in(Shard& sh, const std::shared_ptr<Conn>& conn) {
     conn->in.erase(conn->in.begin(),
                    conn->in.begin() + static_cast<std::ptrdiff_t>(consumed));
   }
-  // Backpressure: stop reading while the inflight cap is hit (frames beyond
-  // it stay buffered) or buffered input is still over the cap. Resumed by
-  // the dirty-connection flush when replies drain — buffered bytes never
-  // re-trigger epoll, so the flush re-runs this parse.
-  conn->paused =
-      conn->inflight.load(std::memory_order_acquire) >= opt_.max_inflight ||
-      conn->in.size() >= opt_.max_in_buffer;
+  // Backpressure: stop reading when the parse stopped at the inflight cap
+  // (frames beyond it stay buffered) or buffered input is still over the
+  // cap. Resumed by the dirty-connection flush when replies drain — buffered
+  // bytes never re-trigger epoll, so the flush re-runs this parse. `capped`
+  // is decided by the read that stopped the loop, never re-read: a lane can
+  // drop inflight below the cap in between, and a fresh read would then
+  // leave the buffered frames with nothing to resume them.
+  conn->paused = capped || conn->in.size() >= opt_.max_in_buffer;
   return true;
 }
 

@@ -22,8 +22,8 @@
 //  - completion lanes: one per io shard. A lane resolves its shard's
 //    in-flight futures in FIFO order — a connection lives on exactly one
 //    shard, and the io thread enqueues replies in request order, so
-//    per-connection reply order is preserved by construction. Stats and
-//    metrics responses are *encoded on the lane* too: rendering a Prometheus
+//    per-connection reply order is preserved by construction. Metrics and
+//    health responses are *encoded on the lane* too: rendering a Prometheus
 //    exposition on the io thread would head-of-line block every connection
 //    on that shard. Each completed reply lands in its connection's outbox
 //    and the owning shard is woken with the connection marked dirty, so a
@@ -111,8 +111,8 @@ struct ServerOptions {
   /// answers every AddRating with kBadRequest. Called on an io thread, so
   /// it must be cheap and thread-safe (RatingLog::append is both).
   std::function<bool(idx_t user, idx_t item, double value)> ingest;
-  /// Merges extra counters into stats() snapshots before they are encoded
-  /// for the stats op (Orchestrator::merge_into). Must be thread-safe.
+  /// Merges extra counters into stats() snapshots before they are rendered
+  /// for the GetMetrics op (Orchestrator::merge_into). Must be thread-safe.
   std::function<void(ServeStats&)> augment_stats;
   /// SLO monitor behind the GetHealth op. When set, edge sheds feed its
   /// availability objective (shed queries never reach the batcher, so the
@@ -201,7 +201,6 @@ class TcpServer {
     enum class Kind : std::uint8_t {
       kEncoded,  // already-encoded frame held behind earlier replies
       kQuery,    // future still resolving in the batcher
-      kStats,    // stats snapshot: taken + encoded on the lane
       kMetrics,  // exposition: rendered + encoded on the lane
       kHealth,   // SLO snapshot + event tail: taken + encoded on the lane
     };

@@ -141,8 +141,8 @@ class LatencyTracker {
 
 /// Counters exported by the retrain orchestrator (src/orchestrate/) when one
 /// runs behind the serving stack. All-zero otherwise. Defined here — not in
-/// orchestrate/ — so the stats op and its consumers need no dependency on
-/// the orchestration layer.
+/// orchestrate/ — so the metrics exposition and its consumers need no
+/// dependency on the orchestration layer.
 struct OrchestratorStats {
   std::uint64_t retrains = 0;     // retrain cycles that ran a training pass
   std::uint64_t promotions = 0;   // candidates that passed the gate + swapped
@@ -209,8 +209,8 @@ struct SloStats {
 
 /// Counters exported by the TCP front-end (net/server.hpp) when one runs in
 /// front of the serving stack. All-zero otherwise. Defined here — not in
-/// net/ — so the metrics exposition and the stats op need no dependency on
-/// the network layer.
+/// net/ — so the metrics exposition needs no dependency on the network
+/// layer.
 struct NetMetrics {
   std::uint64_t connections_accepted = 0;
   /// Connections turned away at accept time (ServerOptions::max_connections).
@@ -291,7 +291,7 @@ struct ServeStats {
 
   /// Retrain-orchestrator counters; all-zero when no orchestrator is
   /// attached. Filled by Orchestrator::merge_into (the TcpServer's
-  /// augment_stats hook routes it into the stats op).
+  /// augment_stats hook routes it into the GetMetrics exposition).
   OrchestratorStats orchestrator;
 
   /// SLO burn-rate slice; all-zero (attached=false) when no SloMonitor is

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,38 @@ TEST(MetricsRegistry, HistogramCumulativeExposition) {
             std::string::npos);
   EXPECT_NE(text.find("test_ms_sum{stage=\"x\"} 7\n"), std::string::npos);
   EXPECT_NE(text.find("test_ms_count{stage=\"x\"} 3\n"), std::string::npos);
+}
+
+TEST(MetricsRegistry, MetricValueReadsBackExactlyWhatWasExposed) {
+  obs::MetricsRegistry reg;
+  reg.counter("test_requests_total", "h", {{"result", "ok"}}).add(3);
+  reg.counter("test_requests", "h").add(11);  // a prefix of the name above
+  reg.gauge("test_rmse", "h").set(0.1 + 0.2);  // needs all 17 digits
+  reg.gauge("test_quantile_ms", "h", {{"stage", "e2e"}, {"q", "0.99"}})
+      .set(12.75);
+  reg.histogram("test_ms", "h", {1.0}, {{"stage", "x"}}).observe(0.5);
+  const std::string text = reg.expose();
+
+  EXPECT_EQ(obs::metric_value(text, "test_requests_total{result=\"ok\"}"),
+            3.0);
+  EXPECT_EQ(obs::metric_value(text, "test_requests"), 11.0);
+  EXPECT_EQ(obs::metric_value(text, "test_rmse"), 0.1 + 0.2);  // bit-exact
+  EXPECT_EQ(obs::metric_value(
+                text, "test_quantile_ms{stage=\"e2e\",q=\"0.99\"}"),
+            12.75);
+  EXPECT_EQ(obs::metric_value(text, "test_ms_count{stage=\"x\"}"), 1.0);
+
+  // Absent series, a name that is a strict prefix of one, label sets in
+  // another order, and a bare family name whose only series is labeled
+  // never match; an unparseable value is absent too.
+  EXPECT_EQ(obs::metric_value(text, "test_missing"), std::nullopt);
+  EXPECT_EQ(obs::metric_value(text, "test_request"), std::nullopt);
+  EXPECT_EQ(obs::metric_value(
+                text, "test_quantile_ms{q=\"0.99\",stage=\"e2e\"}"),
+            std::nullopt);
+  EXPECT_EQ(obs::metric_value(text, "test_requests_total"), std::nullopt);
+  EXPECT_EQ(obs::metric_value("test_bad notanumber\n", "test_bad"),
+            std::nullopt);
 }
 
 TEST(MetricsRegistry, HistogramMergeBins) {

@@ -25,6 +25,7 @@
 #include "core/checkpoint.hpp"
 #include "core/solver.hpp"
 #include "obs/events.hpp"
+#include "obs/metrics.hpp"
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
 #include "gpusim/device_group.hpp"
@@ -798,43 +799,52 @@ TEST(Orchestrator, EndToEndIngestRetrainGateSwapOverTcp) {
   }
   EXPECT_EQ(ops.add_rating(static_cast<idx_t>(w.gen.m) + 5, 0, 3.0),
             serve::net::Status::kBadUser);
-  auto stats = ops.stats();
-  EXPECT_EQ(stats.deltas_ingested, n_deltas);
-  EXPECT_EQ(stats.deltas_rejected, 1u);
-  EXPECT_EQ(stats.generation, 1u);
+  // Counters leave the server through the GetMetrics exposition.
+  std::string text = ops.metrics();
+  auto metric = [&text](const char* series) {
+    return obs::metric_value(text, series).value_or(-1.0);
+  };
+  EXPECT_EQ(metric("cumf_orchestrator_deltas_total{result=\"ingested\"}"),
+            static_cast<double>(n_deltas));
+  EXPECT_EQ(metric("cumf_orchestrator_deltas_total{result=\"rejected\"}"), 1.0);
+  EXPECT_EQ(metric("cumf_serve_generation"), 1.0);
 
   // 2. Retrain on the fresh deltas → gate → hot swap under live traffic.
   const auto cycle = orch.run_cycle();
   ASSERT_EQ(cycle.outcome, orchestrate::CycleOutcome::kPromoted)
       << cycle.error << " " << cycle.gate.reason;
-  stats = ops.stats();
-  EXPECT_EQ(stats.generation, 2u);
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.promotions, 1u);
-  // The per-tier splits ride the same frame (this server is pinned kFull).
-  EXPECT_EQ(stats.retrains_full, 1u);
-  EXPECT_EQ(stats.retrains_incremental, 0u);
-  EXPECT_EQ(stats.promotions_full, 1u);
-  EXPECT_EQ(stats.train_tier,
-            static_cast<std::uint64_t>(orchestrate::TrainTier::kFullAls));
-  EXPECT_GT(stats.train_wall_ms, 0.0);
-  // Promotion moved the gate baseline to the promoted candidate's metrics.
-  EXPECT_DOUBLE_EQ(stats.baseline_rmse, cycle.gate.rmse);
-  EXPECT_DOUBLE_EQ(stats.baseline_recall, cycle.gate.recall);
+  text = ops.metrics();
+  EXPECT_EQ(metric("cumf_serve_generation"), 2.0);
+  // One retrain and one promotion, both on the full tier (this server is
+  // pinned kFull).
+  EXPECT_EQ(metric("cumf_orchestrator_retrains_total{tier=\"full\"}"), 1.0);
+  EXPECT_EQ(metric("cumf_orchestrator_retrains_total{tier=\"incremental\"}"),
+            0.0);
+  EXPECT_EQ(metric("cumf_orchestrator_promotions_total{tier=\"full\"}"), 1.0);
+  EXPECT_EQ(metric("cumf_orchestrator_promotions_total{tier=\"incremental\"}"),
+            0.0);
+  EXPECT_EQ(metric("cumf_orchestrator_train_tier"),
+            static_cast<double>(orchestrate::TrainTier::kFullAls));
+  EXPECT_GT(metric("cumf_orchestrator_train_wall_ms"), 0.0);
+  // Promotion moved the gate baseline to the promoted candidate's metrics
+  // (the exposition renders doubles in round-trip form).
+  EXPECT_DOUBLE_EQ(metric("cumf_orchestrator_baseline_rmse"), cycle.gate.rmse);
+  EXPECT_DOUBLE_EQ(metric("cumf_orchestrator_baseline_recall"),
+                   cycle.gate.recall);
 
   // 3. A degraded candidate is rejected; generation holds.
   const auto rejected =
       orch.submit_candidate(noised(w.base_x, 55), noised(w.base_theta, 56));
   EXPECT_EQ(rejected.outcome, orchestrate::CycleOutcome::kRejected);
-  stats = ops.stats();
-  EXPECT_EQ(stats.generation, 2u);
-  EXPECT_EQ(stats.rejections, 1u);
+  text = ops.metrics();
+  EXPECT_EQ(metric("cumf_serve_generation"), 2.0);
+  EXPECT_EQ(metric("cumf_orchestrator_rejections_total{tier=\"full\"}"), 1.0);
 
   // 4. Rollback to the pre-promotion model; queries keep flowing.
   ASSERT_TRUE(orch.rollback());
-  stats = ops.stats();
-  EXPECT_EQ(stats.generation, 3u);
-  EXPECT_EQ(stats.rollbacks, 1u);
+  text = ops.metrics();
+  EXPECT_EQ(metric("cumf_serve_generation"), 3.0);
+  EXPECT_EQ(metric("cumf_orchestrator_rollbacks_total"), 1.0);
 
   stop.store(true, std::memory_order_release);
   traffic.join();

@@ -8,15 +8,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "obs/events.hpp"
+#include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
@@ -34,20 +37,7 @@ namespace {
 using serve_test::brute_force_topk;
 using serve_test::random_factors;
 using namespace serve::net;
-
-/// Value of one exposition series, e.g. `cumf_serve_queries_total` or
-/// `cumf_serve_cache_requests_total{result="hit"}`. -1 when absent.
-double metric_value(const std::string& text, const std::string& series) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.size() > series.size() + 1 && line.compare(0, series.size(), series) == 0 &&
-        line[series.size()] == ' ') {
-      return std::stod(line.substr(series.size() + 1));
-    }
-  }
-  return -1.0;
-}
+using obs::metric_value;
 
 // ------------------------------------------------------------- protocol ----
 
@@ -77,15 +67,13 @@ TEST(NetProtocol, QueryResponseRoundTrip) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse got;
-  StatsResponse stats;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &got, &stats),
-            MsgType::kQuery);
+  ASSERT_EQ(decode_response(wire.data() + off, len, &got), MsgType::kQuery);
   EXPECT_EQ(got.status, Status::kOk);
   EXPECT_EQ(got.generation, 3u);
   EXPECT_EQ(got.items, resp.items);  // scores bit-exact through the f64 path
 }
 
-TEST(NetProtocol, EmptyResponseAndStatsRoundTrip) {
+TEST(NetProtocol, EmptyResponseRoundTrip) {
   QueryResponse resp;
   resp.status = Status::kBadUser;
   std::vector<std::uint8_t> wire;
@@ -94,30 +82,9 @@ TEST(NetProtocol, EmptyResponseAndStatsRoundTrip) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse got;
-  StatsResponse stats;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &got, &stats),
-            MsgType::kQuery);
+  ASSERT_EQ(decode_response(wire.data() + off, len, &got), MsgType::kQuery);
   EXPECT_EQ(got.status, Status::kBadUser);
   EXPECT_TRUE(got.items.empty());
-
-  StatsResponse s;
-  s.queries = 100;
-  s.generation = 2;
-  s.e2e_samples = 64;
-  s.e2e_total = 100;
-  s.e2e_p99_ms = 1.25;
-  s.queue_p99_ms = 0.5;
-  wire.clear();
-  encode_stats_response(s, &wire);
-  ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
-  ASSERT_EQ(decode_response(wire.data() + off, len, &got, &stats),
-            MsgType::kStats);
-  EXPECT_EQ(stats.queries, 100u);
-  EXPECT_EQ(stats.generation, 2u);
-  EXPECT_EQ(stats.e2e_samples, 64u);
-  EXPECT_EQ(stats.e2e_total, 100u);
-  EXPECT_DOUBLE_EQ(stats.e2e_p99_ms, 1.25);
-  EXPECT_DOUBLE_EQ(stats.queue_p99_ms, 0.5);
 }
 
 TEST(NetProtocol, FramingRejectsGarbageAndReportsIncomplete) {
@@ -162,9 +129,7 @@ TEST(NetProtocol, AddRatingRoundTrip) {
   encode_add_rating_response(Status::kBadUser, &wire);
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse got;
-  StatsResponse stats;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &got, &stats),
-            MsgType::kAddRating);
+  ASSERT_EQ(decode_response(wire.data() + off, len, &got), MsgType::kAddRating);
   EXPECT_EQ(got.status, Status::kBadUser);
 
   // Truncated add-rating payload is a violation like any other.
@@ -172,88 +137,6 @@ TEST(NetProtocol, AddRatingRoundTrip) {
   encode_add_rating_request(AddRatingRequest{1, 2, 3.0}, &wire);
   EXPECT_THROW((void)decode_request(wire.data() + 4, wire.size() - 5),
                ProtocolError);
-}
-
-TEST(NetProtocol, StatsCarriesOrchestratorCounters) {
-  StatsResponse s;
-  s.retrains = 5;
-  s.promotions = 3;
-  s.rejections = 2;
-  s.rollbacks = 1;
-  s.deltas_ingested = 4096;
-  s.deltas_rejected = 9;
-  s.gate_rmse = 0.91;
-  s.gate_recall = 0.22;
-  s.baseline_rmse = 0.89;
-  s.baseline_recall = 0.25;
-  s.train_wall_ms = 130.5;
-  s.train_modeled_s = 0.004;
-  s.retrains_full = 2;
-  s.retrains_incremental = 3;
-  s.promotions_full = 1;
-  s.promotions_incremental = 2;
-  s.rejections_full = 0;
-  s.rejections_incremental = 2;
-  s.escalations = 1;
-  s.consolidations = 1;
-  s.train_tier = 1;
-
-  std::vector<std::uint8_t> wire;
-  encode_stats_response(s, &wire);
-  std::size_t off = 0, len = 0;
-  ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
-  QueryResponse query;
-  StatsResponse got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &got),
-            MsgType::kStats);
-  EXPECT_EQ(got.retrains, 5u);
-  EXPECT_EQ(got.promotions, 3u);
-  EXPECT_EQ(got.rejections, 2u);
-  EXPECT_EQ(got.rollbacks, 1u);
-  EXPECT_EQ(got.deltas_ingested, 4096u);
-  EXPECT_EQ(got.deltas_rejected, 9u);
-  EXPECT_DOUBLE_EQ(got.gate_rmse, 0.91);
-  EXPECT_DOUBLE_EQ(got.gate_recall, 0.22);
-  EXPECT_DOUBLE_EQ(got.baseline_rmse, 0.89);
-  EXPECT_DOUBLE_EQ(got.baseline_recall, 0.25);
-  EXPECT_DOUBLE_EQ(got.train_wall_ms, 130.5);
-  EXPECT_DOUBLE_EQ(got.train_modeled_s, 0.004);
-  EXPECT_EQ(got.retrains_full, 2u);
-  EXPECT_EQ(got.retrains_incremental, 3u);
-  EXPECT_EQ(got.promotions_full, 1u);
-  EXPECT_EQ(got.promotions_incremental, 2u);
-  EXPECT_EQ(got.rejections_full, 0u);
-  EXPECT_EQ(got.rejections_incremental, 2u);
-  EXPECT_EQ(got.escalations, 1u);
-  EXPECT_EQ(got.consolidations, 1u);
-  EXPECT_EQ(got.train_tier, 1u);
-}
-
-TEST(NetProtocol, StatsCarriesNetCounters) {
-  StatsResponse s;
-  s.net_connections = 1000;
-  s.net_rejected = 24;
-  s.net_protocol_errors = 3;
-  s.net_recv_errors = 7;
-  s.net_slow_closes = 2;
-  s.net_overload_sheds = 512;
-  s.net_io_shards = 4;
-
-  std::vector<std::uint8_t> wire;
-  encode_stats_response(s, &wire);
-  std::size_t off = 0, len = 0;
-  ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
-  QueryResponse query;
-  StatsResponse got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &got),
-            MsgType::kStats);
-  EXPECT_EQ(got.net_connections, 1000u);
-  EXPECT_EQ(got.net_rejected, 24u);
-  EXPECT_EQ(got.net_protocol_errors, 3u);
-  EXPECT_EQ(got.net_recv_errors, 7u);
-  EXPECT_EQ(got.net_slow_closes, 2u);
-  EXPECT_EQ(got.net_overload_sheds, 512u);
-  EXPECT_EQ(got.net_io_shards, 4u);
 }
 
 TEST(NetProtocol, MetricsRoundTrip) {
@@ -271,15 +154,13 @@ TEST(NetProtocol, MetricsRoundTrip) {
   encode_metrics_response(text, &wire);
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   std::string got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats, &got),
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &got),
             MsgType::kMetrics);
   EXPECT_EQ(got, text);  // byte-exact through the length-prefixed path
 
   // A decode with no metrics sink still consumes the frame cleanly.
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats),
-            MsgType::kMetrics);
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query), MsgType::kMetrics);
 }
 
 TEST(NetProtocol, MetricsResponseTruncatesToMaxPayload) {
@@ -291,9 +172,8 @@ TEST(NetProtocol, MetricsResponseTruncatesToMaxPayload) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   std::string got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats, &got),
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &got),
             MsgType::kMetrics);
   EXPECT_EQ(got.size(), static_cast<std::size_t>(kMaxPayload) - 6);
   EXPECT_EQ(got, huge.substr(0, got.size()));
@@ -305,22 +185,20 @@ TEST(NetProtocol, MalformedMetricsFramesAreViolations) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   std::string got;
 
   // Truncated payload: the declared text length exceeds the bytes present.
-  EXPECT_THROW((void)decode_response(wire.data() + off, len - 1, &query,
-                                     &stats, &got),
+  EXPECT_THROW((void)decode_response(wire.data() + off, len - 1, &query, &got),
                ProtocolError);
   // Trailing garbage after the text is a violation, not ignored padding.
   std::vector<std::uint8_t> padded(wire.begin() + 4, wire.end());
   padded.push_back(0);
   EXPECT_THROW((void)decode_response(padded.data(), padded.size(), &query,
-                                     &stats, &got),
+                                     &got),
                ProtocolError);
   // A bare type byte with no header is truncated too.
   const std::uint8_t type_only = 4;
-  EXPECT_THROW((void)decode_response(&type_only, 1, &query, &stats, &got),
+  EXPECT_THROW((void)decode_response(&type_only, 1, &query, &got),
                ProtocolError);
   // Metrics *requests* carry nothing after the type byte.
   const std::uint8_t padded_req[2] = {4, 0};
@@ -357,10 +235,8 @@ TEST(NetProtocol, HealthRoundTrip) {
   encode_health_response(h, &wire);
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   HealthResponse got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats, nullptr,
-                            &got),
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query, nullptr, &got),
             MsgType::kHealth);
   EXPECT_EQ(got.latency_state, 2);
   EXPECT_EQ(got.availability_state, 1);
@@ -386,8 +262,7 @@ TEST(NetProtocol, HealthRoundTrip) {
   EXPECT_EQ(got.events_json, h.events_json);
 
   // A decode with no health sink still consumes the frame cleanly.
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats),
-            MsgType::kHealth);
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query), MsgType::kHealth);
 }
 
 TEST(NetProtocol, HealthResponseTrimsEventsAtLineBoundaries) {
@@ -409,10 +284,8 @@ TEST(NetProtocol, HealthResponseTrimsEventsAtLineBoundaries) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   HealthResponse got;
-  ASSERT_EQ(decode_response(wire.data() + off, len, &query, &stats, nullptr,
-                            &got),
+  ASSERT_EQ(decode_response(wire.data() + off, len, &query, nullptr, &got),
             MsgType::kHealth);
 
   // Exemplars cap at the wire bound, keeping the front (slowest-first) ones.
@@ -442,18 +315,17 @@ TEST(NetProtocol, MalformedHealthFramesAreViolations) {
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(try_frame(wire.data(), wire.size(), &off, &len));
   QueryResponse query;
-  StatsResponse stats;
   HealthResponse got;
 
   // Truncated payload: the trailing events text is cut short.
   EXPECT_THROW((void)decode_response(wire.data() + off, len - 1, &query,
-                                     &stats, nullptr, &got),
+                                     nullptr, &got),
                ProtocolError);
   // Trailing garbage after the events text is a violation.
   std::vector<std::uint8_t> padded(wire.begin() + 4, wire.end());
   padded.push_back(0);
   EXPECT_THROW((void)decode_response(padded.data(), padded.size(), &query,
-                                     &stats, nullptr, &got),
+                                     nullptr, &got),
                ProtocolError);
   // A corrupt exemplar count can never expand past the payload: huge counts
   // trip the bound check, small lies exhaust the frame.
@@ -464,20 +336,138 @@ TEST(NetProtocol, MalformedHealthFramesAreViolations) {
   corrupt[n_ex_off + 2] = 0xff;
   corrupt[n_ex_off + 3] = 0xff;
   EXPECT_THROW((void)decode_response(corrupt.data(), corrupt.size(), &query,
-                                     &stats, nullptr, &got),
+                                     nullptr, &got),
                ProtocolError);
   corrupt.assign(wire.begin() + 4, wire.end());
   corrupt[n_ex_off] = 2;  // claims one more exemplar than the frame holds
   EXPECT_THROW((void)decode_response(corrupt.data(), corrupt.size(), &query,
-                                     &stats, nullptr, &got),
+                                     nullptr, &got),
                ProtocolError);
   // A bare type byte is truncated; health *requests* carry nothing after it.
   const std::uint8_t type_only = 5;
-  EXPECT_THROW((void)decode_response(&type_only, 1, &query, &stats, nullptr,
-                                     &got),
+  EXPECT_THROW((void)decode_response(&type_only, 1, &query, nullptr, &got),
                ProtocolError);
   const std::uint8_t padded_req[2] = {5, 0};
   EXPECT_THROW((void)decode_request(padded_req, 2), ProtocolError);
+}
+
+/// Valid frames of all four operations, requests and responses both: the
+/// seeds the mutation fuzz loop below starts from.
+std::vector<std::vector<std::uint8_t>> seed_frames() {
+  std::vector<std::vector<std::uint8_t>> frames(8);
+  encode_query_request(QueryRequest{42, 7}, &frames[0]);
+  QueryResponse q;
+  q.generation = 9;
+  q.items = {{10, 1.5}, {4, 1.25}, {99, -0.25}};
+  encode_query_response(q, &frames[1]);
+  encode_add_rating_request(AddRatingRequest{3, 17, 4.5}, &frames[2]);
+  encode_add_rating_response(Status::kBadUser, &frames[3]);
+  encode_metrics_request(&frames[4]);
+  encode_metrics_response("cumf_serve_queries_total 42\n", &frames[5]);
+  encode_health_request(&frames[6]);
+  HealthResponse h;
+  h.latency_state = 2;
+  h.exemplars = {{5, 17, 80.0, 30.0, 45.0, 5.0}, {3, 9, 60.0, 10.0, 48.0, 2.0}};
+  h.events_json = "{\"ticket\":0}\n{\"ticket\":1}\n";
+  encode_health_response(h, &frames[7]);
+  return frames;
+}
+
+/// Feeds one (possibly corrupt) frame to every decoder: the framer, then
+/// both payload decoders on what it framed and on the raw bytes after the
+/// prefix. Each call must return or throw ProtocolError; anything else is a
+/// failure (and a sanitizer build flags any out-of-bounds read).
+void decode_everything(const std::vector<std::uint8_t>& wire) {
+  auto guarded = [](const char* what, auto&& call) {
+    try {
+      call();
+    } catch (const ProtocolError&) {
+      // The one allowed way to refuse a frame.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " threw a non-protocol error: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << what << " threw a non-std exception";
+    }
+  };
+  auto decode_both = [&](const std::uint8_t* payload, std::size_t len) {
+    guarded("decode_request", [&] { (void)decode_request(payload, len); });
+    guarded("decode_response", [&] {
+      QueryResponse query;
+      std::string metrics;
+      HealthResponse health;
+      (void)decode_response(payload, len, &query, &metrics, &health);
+    });
+  };
+  guarded("try_frame", [&] {
+    std::size_t off = 0, len = 0;
+    if (try_frame(wire.data(), wire.size(), &off, &len)) {
+      decode_both(wire.data() + off, len);
+    }
+  });
+  if (wire.size() > kFramePrefix) {
+    decode_both(wire.data() + kFramePrefix, wire.size() - kFramePrefix);
+  }
+}
+
+TEST(NetProtocol, MutatedFramesEitherDecodeOrThrowProtocolError) {
+  std::mt19937_64 rng(0x5eed);
+  auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Flips one random bit at or after byte `from`.
+  auto flip_bit = [&below](std::vector<std::uint8_t>* w, std::size_t from) {
+    (*w)[from + below(w->size() - from)] ^=
+        static_cast<std::uint8_t>(1u << below(8));
+  };
+  auto set_prefix = [](std::vector<std::uint8_t>* w, std::size_t len) {
+    for (std::size_t b = 0; b < kFramePrefix; ++b) {
+      (*w)[b] = static_cast<std::uint8_t>(len >> (8 * b));
+    }
+  };
+
+  for (const auto& seed : seed_frames()) {
+    // Type-byte sweep, the retired 2 included: only the four live types may
+    // decode at all.
+    for (int t = 0; t < 256; ++t) {
+      std::vector<std::uint8_t> wire = seed;
+      wire[kFramePrefix] = static_cast<std::uint8_t>(t);
+      decode_everything(wire);
+      if (t != 1 && t != 3 && t != 4 && t != 5) {
+        const std::uint8_t* payload = wire.data() + kFramePrefix;
+        const std::size_t len = wire.size() - kFramePrefix;
+        QueryResponse query;
+        EXPECT_THROW((void)decode_request(payload, len), ProtocolError) << t;
+        EXPECT_THROW((void)decode_response(payload, len, &query), ProtocolError)
+            << t;
+      }
+    }
+
+    for (int iter = 0; iter < 600; ++iter) {
+      std::vector<std::uint8_t> wire = seed;
+      switch (iter % 4) {
+        case 0:  // bit flips anywhere, the prefix included
+          for (std::size_t n = 1 + below(4); n > 0; --n) flip_bit(&wire, 0);
+          break;
+        case 1:  // truncation
+          wire.resize(below(wire.size()));
+          break;
+        case 2: {  // corrupted length prefix: near miss, random, or extreme
+          const std::size_t near = wire.size() - kFramePrefix + below(7) - 3;
+          const std::size_t picks[] = {near, rng(), 0, kMaxPayload + 1};
+          set_prefix(&wire, picks[below(4)]);
+          break;
+        }
+        default:  // a payload bit flip plus trailing garbage, prefix resealed
+          flip_bit(&wire, kFramePrefix);
+          for (std::size_t n = below(9); n > 0; --n) {
+            wire.push_back(static_cast<std::uint8_t>(rng()));
+          }
+          set_prefix(&wire, wire.size() - kFramePrefix);
+          break;
+      }
+      decode_everything(wire);
+    }
+  }
 }
 
 // ---------------------------------------------------- loopback serving -----
@@ -624,14 +614,22 @@ TEST(TcpServer, StatsOverTheWireAndE2eCoversBatchWall) {
                        LoopbackFixture::kK);
   }
 
-  const StatsResponse wire = client.stats();
-  EXPECT_EQ(wire.queries, static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(wire.e2e_total, static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(wire.e2e_samples, static_cast<std::uint64_t>(kQueries));
-  EXPECT_GT(wire.e2e_p99_ms, 0.0);
-  EXPECT_GE(wire.e2e_p99_ms, wire.batch_wall_p99_ms);
-  EXPECT_GE(wire.net_e2e_p99_ms, wire.e2e_p99_ms);
-  EXPECT_GE(wire.e2e_p50_ms, wire.queue_p50_ms);
+  // The stage quantiles of one exposition snapshot keep the ordering.
+  const std::string text = client.metrics();
+  auto quantile = [&text](const std::string& stage, const char* q) {
+    const std::string series = "cumf_serve_latency_quantile_ms{stage=\"" +
+                               stage + "\",q=\"" + q + "\"}";
+    return metric_value(text, series).value_or(-1.0);
+  };
+  EXPECT_EQ(metric_value(text, "cumf_serve_queries_total"),
+            static_cast<double>(kQueries));
+  EXPECT_EQ(metric_value(text, "cumf_serve_latency_ms_count{stage=\"e2e\"}"),
+            static_cast<double>(kQueries));
+  EXPECT_GT(quantile("e2e", "0.99"), 0.0);
+  EXPECT_GE(quantile("e2e", "0.99"), quantile("batch_wall", "0.99"));
+  EXPECT_GE(quantile("net_e2e", "0.99"), quantile("e2e", "0.99"));
+  EXPECT_GE(quantile("e2e", "0.5"), quantile("queue", "0.5"));
+  EXPECT_GE(quantile("queue", "0.5"), 0.0);
 
   const serve::ServeStats stats = fx.server->stats();
   EXPECT_EQ(stats.e2e.total_recorded, static_cast<std::uint64_t>(kQueries));
@@ -654,8 +652,8 @@ TEST(TcpServer, MetricsOverTheWireAgreeWithStats) {
   const std::string text = client.metrics();
   const serve::ServeStats stats = fx.server->stats();
 
-  // The exposition is rendered from the same snapshot family the stats op
-  // serves, so the headline counters must agree exactly.
+  // The exposition is rendered from a stats() snapshot, so with no traffic
+  // in between the headline counters must agree exactly.
   EXPECT_EQ(metric_value(text, "cumf_serve_queries_total"),
             static_cast<double>(stats.queries));
   EXPECT_EQ(metric_value(text, "cumf_serve_batches_total"),
@@ -678,9 +676,95 @@ TEST(TcpServer, MetricsOverTheWireAgreeWithStats) {
       metric_value(text, "cumf_serve_latency_quantile_ms{stage=\"e2e\",q=\"0.99\"}"),
       0.0);
 
-  // The stats op and the metrics op answer on the same connection.
-  EXPECT_EQ(client.stats().queries, stats.queries);
+  // Metrics requests and queries share one connection in request order.
+  EXPECT_EQ(metric_value(client.metrics(), "cumf_serve_queries_total"),
+            static_cast<double>(stats.queries));
   EXPECT_EQ(client.query(3, LoopbackFixture::kK).status, Status::kOk);
+}
+
+TEST(TcpServer, MetricsCarryOrchestratorCountersThroughAugmentStats) {
+  ServerOptions sopt;
+  sopt.augment_stats = [](serve::ServeStats& s) {
+    serve::OrchestratorStats& o = s.orchestrator;
+    o.retrains_full = 2;
+    o.retrains_incremental = 3;
+    o.promotions_full = 1;
+    o.promotions_incremental = 2;
+    o.rejections_full = 4;
+    o.rejections_incremental = 5;
+    o.escalations = 6;
+    o.consolidations = 7;
+    o.last_train_tier = 1;
+    o.rollbacks = 8;
+    o.deltas_ingested = 4096;
+    o.deltas_rejected = 9;
+    o.last_gate_rmse = 0.91;
+    o.last_gate_recall = 0.22;
+    o.baseline_rmse = 0.89;
+    o.baseline_recall = 0.25;
+    o.last_train_wall_ms = 130.5;
+    o.last_train_modeled_s = 0.004;
+  };
+  LoopbackFixture fx(0, std::chrono::microseconds(2000), sopt);
+  Client client("127.0.0.1", fx.server->port());
+  const std::string text = client.metrics();
+
+  const struct {
+    const char* series;
+    double want;
+  } expected[] = {
+      {"cumf_orchestrator_retrains_total{tier=\"full\"}", 2},
+      {"cumf_orchestrator_retrains_total{tier=\"incremental\"}", 3},
+      {"cumf_orchestrator_promotions_total{tier=\"full\"}", 1},
+      {"cumf_orchestrator_promotions_total{tier=\"incremental\"}", 2},
+      {"cumf_orchestrator_rejections_total{tier=\"full\"}", 4},
+      {"cumf_orchestrator_rejections_total{tier=\"incremental\"}", 5},
+      {"cumf_orchestrator_escalations_total", 6},
+      {"cumf_orchestrator_consolidations_total", 7},
+      {"cumf_orchestrator_train_tier", 1},
+      {"cumf_orchestrator_rollbacks_total", 8},
+      {"cumf_orchestrator_deltas_total{result=\"ingested\"}", 4096},
+      {"cumf_orchestrator_deltas_total{result=\"rejected\"}", 9},
+      {"cumf_orchestrator_gate_rmse", 0.91},
+      {"cumf_orchestrator_gate_recall", 0.22},
+      {"cumf_orchestrator_baseline_rmse", 0.89},
+      {"cumf_orchestrator_baseline_recall", 0.25},
+      {"cumf_orchestrator_train_wall_ms", 130.5},
+      {"cumf_orchestrator_train_modeled_s", 0.004},
+  };
+  for (const auto& e : expected) {
+    const std::optional<double> got = metric_value(text, e.series);
+    ASSERT_TRUE(got.has_value()) << e.series;
+    EXPECT_DOUBLE_EQ(*got, e.want) << e.series;
+  }
+}
+
+TEST(TcpServer, RetiredStatsTypeClosesOnlyThatConnection) {
+  LoopbackFixture fx;
+  Client good("127.0.0.1", fx.server->port());
+  ASSERT_EQ(good.query(1, LoopbackFixture::kK).status, Status::kOk);
+
+  // A raw socket sends the retired stats request: one frame, type byte 2.
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.server->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const std::uint8_t retired[5] = {1, 0, 0, 0, 2};
+    ASSERT_EQ(::send(fd, retired, sizeof(retired), MSG_NOSIGNAL), 5);
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // closed without a reply
+    ::close(fd);
+  }
+
+  // The violation is counted, and the other connection is still served.
+  EXPECT_EQ(metric_value(good.metrics(), "cumf_net_protocol_errors_total"),
+            1.0);
+  EXPECT_EQ(good.query(2, LoopbackFixture::kK).status, Status::kOk);
 }
 
 TEST(TcpServer, AbruptClientDisconnectLeavesServerServing) {
@@ -736,18 +820,20 @@ bool eventually(Pred pred) {
   return pred();
 }
 
-TEST(TcpServer, StatsReportNetSliceOverTheWire) {
+TEST(TcpServer, MetricsReportNetSliceOverTheWire) {
   ServerOptions sopt;
   sopt.io_threads = 3;
   LoopbackFixture fx(0, std::chrono::microseconds(2000), sopt);
   Client client("127.0.0.1", fx.server->port());
   ASSERT_EQ(client.query(0, LoopbackFixture::kK).status, Status::kOk);
 
-  const StatsResponse wire = client.stats();
-  EXPECT_EQ(wire.net_connections, 1u);
-  EXPECT_EQ(wire.net_io_shards, 3u);
-  EXPECT_EQ(wire.net_rejected, 0u);
-  EXPECT_EQ(wire.net_overload_sheds, 0u);
+  const std::string text = client.metrics();
+  EXPECT_EQ(metric_value(text, "cumf_net_connections_total"), 1.0);
+  EXPECT_EQ(metric_value(text, "cumf_net_io_shards"), 3.0);
+  EXPECT_EQ(metric_value(text, "cumf_net_open_connections"), 1.0);
+  EXPECT_EQ(metric_value(text, "cumf_net_connections_rejected_total"), 0.0);
+  EXPECT_EQ(metric_value(text, "cumf_net_overload_sheds_total"), 0.0);
+  EXPECT_EQ(metric_value(text, "cumf_net_protocol_errors_total"), 0.0);
 
   const serve::ServeStats stats = fx.server->stats();
   EXPECT_EQ(stats.net.connections_accepted, 1u);
@@ -1024,8 +1110,11 @@ TEST(TcpServer, AddRatingFeedsIngestSinkInOrder) {
         {3, 7, 4.25}, {1, 1, 1.0}, {2, 2, 2.0}};
     EXPECT_EQ(seen, want);
   }
-  // The stats op reports the augmented orchestrator slice.
-  EXPECT_EQ(client.stats().deltas_ingested, 77u);
+  // GetMetrics reports the augmented orchestrator slice.
+  const std::string text = client.metrics();
+  EXPECT_EQ(
+      metric_value(text, "cumf_orchestrator_deltas_total{result=\"ingested\"}"),
+      77.0);
 }
 
 // ------------------------------------------------------ SLO health op ------
