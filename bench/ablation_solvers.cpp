@@ -7,14 +7,12 @@
 //     (libMF-style) objective/RMSE per pass, reproducing the related-work
 //     claims: CCD++ is strong early then flattens; ALS costs more per pass
 //     but needs far fewer passes.
-//  C. bin-size sweep around the paper's recommended [10, 30].
 
 #include <cstdio>
 
 #include "baselines/ccdpp.hpp"
 #include "baselines/fpsgd.hpp"
 #include "bench_common.hpp"
-#include "util/stopwatch.hpp"
 #include "core/solver.hpp"
 #include "data/datasets.hpp"
 #include "gpusim/device_group.hpp"
@@ -91,37 +89,11 @@ void ablation_algorithms(const data::SimDataset& ds, int f,
               "few passes.\n");
 }
 
-void ablation_bin_size(const data::SimDataset& ds, int f,
-                       util::CsvWriter& csv) {
-  std::printf("\nC. shared-memory bin-size sweep (paper picks 10-30):\n");
-  for (const int bin : {2, 5, 10, 20, 30, 60}) {
-    const auto topo = gpusim::PcieTopology::flat(1);
-    gpusim::DeviceGroup gpu(1, gpusim::titan_x(), topo);
-    core::SolverConfig cfg;
-    cfg.als.f = f;
-    cfg.als.lambda = 0.05f;
-    cfg.als.kernel.bin = bin;
-    core::AlsSolver solver(gpu.pointers(), topo, ds.train_csr,
-                           ds.train_rt_csr, cfg);
-    util::Stopwatch sw;
-    solver.run_iteration();
-    solver.run_iteration();
-    const double wall = sw.seconds() / 2;
-    // Shared usage per block: bin·f floats — the Alg. 2 occupancy trade-off.
-    const double shared_kb = static_cast<double>(bin) * f * 4.0 / 1024.0;
-    std::printf("  bin %3d: %.3fs wall/iter, %5.1f KiB shared per block\n",
-                bin, wall, shared_kb);
-    csv.row("bin_size", bin, wall, shared_kb, 0);
-  }
-  std::printf("  expectation: flat wall cost within [10,30]; tiny bins pay "
-              "staging overhead, huge bins exceed the 96 KiB/SM budget.\n");
-}
-
 }  // namespace
 
 int main() {
   using namespace cumf;
-  bench::print_header("Ablations", "solver backend / algorithm family / bin");
+  bench::print_header("Ablations", "solver backend / algorithm family");
   util::CsvWriter csv(bench::results_dir() + "/ablation_solvers.csv",
                       {"ablation", "arg", "v1", "v2", "v3"});
   const auto ds = data::make_sim_dataset(data::netflix(), 0.01, 909, 0.1, 32);
@@ -131,6 +103,5 @@ int main() {
               static_cast<long long>(ds.train_csr.nnz()));
   ablation_solver_backend(ds, 32, csv);
   ablation_algorithms(ds, 32, csv);
-  ablation_bin_size(ds, 32, csv);
   return 0;
 }

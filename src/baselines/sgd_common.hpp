@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared pieces of the SGD-based baselines (libMF/FPSGD, NOMAD, Hogwild).
+// Shared pieces of the SGD-based baselines (libMF/FPSGD, NOMAD).
 //
 // These are the systems the paper compares against in §5.2 and §5.4. The SGD
 // update is eq. (4):

@@ -8,9 +8,11 @@
 
 namespace cumf::core {
 
-/// Memory-path configuration of the get_hermitian kernel (Algorithm 2's
-/// three optimizations, each independently toggleable for the Fig. 7/8
-/// ablations).
+/// Modeled memory path of the get_hermitian kernel (Algorithm 2's three
+/// optimizations, each independently toggleable for the Fig. 7/8
+/// ablations). It selects the simulated traffic charged per launch only:
+/// the host arithmetic, and so the trained factors, are the same for every
+/// setting. bin <= 1 without registers models Algorithm 1.
 struct KernelOptions {
   int bin = 20;               // shared-memory staging width, paper uses 10-30
   bool use_registers = true;  // accumulate A_u in registers (Listing 1)

@@ -22,10 +22,9 @@ void gram_kernel(gpusim::Device& dev, const real_t* theta, idx_t n, int f,
   std::mutex mu;
   util::parallel_for_chunks(dev.pool(), 0, n, [&](nnz_t lo, nnz_t hi) {
     std::vector<real_t> local(fsq, 0.0f);
-    for (nnz_t v = lo; v < hi; ++v) {
-      linalg::rank1_update_global(local.data(),
-                                  theta + static_cast<std::size_t>(v) * f, f);
-    }
+    linalg::rank1_accumulate_registers(
+        local.data(), theta + static_cast<std::size_t>(lo) * f,
+        static_cast<int>(hi - lo), f);
     std::lock_guard lock(mu);
     for (std::size_t e = 0; e < fsq; ++e) G[e] += local[e];
   });
@@ -43,53 +42,36 @@ void get_hermitian_implicit(gpusim::Device& dev, const sparse::CsrMatrix& R,
                             real_t lambda, real_t alpha,
                             const KernelOptions& opt, real_t* A, real_t* B) {
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
-  const int bin = std::max(1, opt.bin);
 
   util::parallel_for_chunks(
       dev.pool(), row_begin, row_end, [&](nnz_t lo, nnz_t hi) {
-        std::vector<real_t> bin_buf(static_cast<std::size_t>(bin) * f);
-        std::vector<real_t> a_local(fsq);
-        std::vector<real_t> b_local(static_cast<std::size_t>(f));
+        std::vector<real_t> bin_buf(static_cast<std::size_t>(kHostBin) * f);
+        std::vector<real_t> a_acc(fsq);
+        std::vector<real_t> b_acc(static_cast<std::size_t>(f));
 
         for (nnz_t u = lo; u < hi; ++u) {
           const auto local = static_cast<std::size_t>(u - row_begin);
-          real_t* a_out = A + local * fsq;
-          real_t* b_out = B + local * static_cast<std::size_t>(f);
-          real_t* a_acc = opt.use_registers ? a_local.data() : a_out;
           // Seed with the shared Gram matrix plus plain-λ diagonal.
-          std::memcpy(a_acc, G, fsq * sizeof(real_t));
-          linalg::add_diagonal(a_acc, lambda, f);
-          std::memset(b_local.data(), 0,
+          std::memcpy(a_acc.data(), G, fsq * sizeof(real_t));
+          linalg::add_diagonal(a_acc.data(), lambda, f);
+          std::memset(b_acc.data(), 0,
                       static_cast<std::size_t>(f) * sizeof(real_t));
 
           const auto cols = R.row_cols(static_cast<idx_t>(u));
           const auto vals = R.row_vals(static_cast<idx_t>(u));
-          std::size_t k = 0;
-          while (k < cols.size()) {
-            const int cnt =
-                static_cast<int>(std::min<std::size_t>(bin, cols.size() - k));
-            for (int c = 0; c < cnt; ++c) {
-              const real_t* tv =
-                  theta + static_cast<std::size_t>(cols[k + static_cast<std::size_t>(c)]) * f;
-              const real_t w = alpha * vals[k + static_cast<std::size_t>(c)];
-              real_t* staged = bin_buf.data() + static_cast<std::size_t>(c) * f;
-              // B wants (1 + w)·θ with the raw column; A wants w·θθᵀ, which
-              // the rank-1 kernel gets by staging √w·θ.
-              linalg::axpy(b_local.data(), real_t{1} + w, tv, f);
-              const real_t root = std::sqrt(std::max(real_t{0}, w));
-              for (int i = 0; i < f; ++i) staged[i] = root * tv[i];
-            }
-            if (opt.use_registers) {
-              linalg::rank1_accumulate_registers(a_acc, bin_buf.data(), cnt, f);
-            } else {
-              linalg::rank1_accumulate_global(a_acc, bin_buf.data(), cnt, f);
-            }
-            k += static_cast<std::size_t>(cnt);
-          }
-          if (opt.use_registers) {
-            std::memcpy(a_out, a_acc, fsq * sizeof(real_t));
-          }
-          std::memcpy(b_out, b_local.data(),
+          stage_and_contract(
+              a_acc.data(), bin_buf.data(), cols.size(), f,
+              [&](real_t* slot, std::size_t k) {
+                const real_t* tv = theta + static_cast<std::size_t>(cols[k]) * f;
+                const real_t w = alpha * vals[k];
+                // B wants (1 + w)·θ with the raw column; A wants w·θθᵀ,
+                // which the rank-1 kernel gets by staging √w·θ.
+                linalg::axpy(b_acc.data(), real_t{1} + w, tv, f);
+                const real_t root = std::sqrt(std::max(real_t{0}, w));
+                for (int i = 0; i < f; ++i) slot[i] = root * tv[i];
+              });
+          std::memcpy(A + local * fsq, a_acc.data(), fsq * sizeof(real_t));
+          std::memcpy(B + local * static_cast<std::size_t>(f), b_acc.data(),
                       static_cast<std::size_t>(f) * sizeof(real_t));
         }
       });

@@ -8,7 +8,6 @@
 
 #include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/hermitian.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cumf::core {
@@ -92,77 +91,43 @@ void get_hermitian_block(gpusim::Device& dev, const sparse::CsrMatrix& R,
                          int f, real_t lambda, const KernelOptions& opt,
                          real_t* A, real_t* B, bool accumulate) {
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
-  const int bin = std::max(1, opt.bin);
-  const bool base_path = is_base_path(opt);
 
   util::parallel_for_chunks(
       dev.pool(), row_begin, row_end, [&](nnz_t lo, nnz_t hi) {
         // Per-worker scratch: the "shared memory" bin and the "register"
         // accumulator tile target.
-        std::vector<real_t> bin_buf(static_cast<std::size_t>(bin) * f);
-        std::vector<real_t> a_local(opt.use_registers ? fsq : 0);
-        std::vector<real_t> b_local(static_cast<std::size_t>(f));
+        std::vector<real_t> bin_buf(static_cast<std::size_t>(kHostBin) * f);
+        std::vector<real_t> a_acc(fsq);
+        std::vector<real_t> b_acc(static_cast<std::size_t>(f));
 
         for (nnz_t u = lo; u < hi; ++u) {
           const auto local = static_cast<std::size_t>(u - row_begin);
           real_t* a_out = A + local * fsq;
           real_t* b_out = B + local * static_cast<std::size_t>(f);
-          real_t* a_acc = opt.use_registers ? a_local.data() : a_out;
-          if (opt.use_registers) {
-            std::memset(a_acc, 0, fsq * sizeof(real_t));
-          } else if (!accumulate) {
-            std::memset(a_out, 0, fsq * sizeof(real_t));
-          }
-          std::memset(b_local.data(), 0, static_cast<std::size_t>(f) * sizeof(real_t));
+          std::memset(a_acc.data(), 0, fsq * sizeof(real_t));
+          std::memset(b_acc.data(), 0, static_cast<std::size_t>(f) * sizeof(real_t));
 
           const auto cols = R.row_cols(static_cast<idx_t>(u));
           const auto vals = R.row_vals(static_cast<idx_t>(u));
-
-          if (base_path) {
-            // Algorithm 1: no staging, accumulate straight into A_u.
-            for (std::size_t k = 0; k < cols.size(); ++k) {
-              const real_t* tv = theta + static_cast<std::size_t>(cols[k]) * f;
-              linalg::rank1_update_global(a_acc, tv, f);
-              linalg::axpy(b_local.data(), vals[k], tv, f);
-            }
-          } else {
-            // Algorithm 2 lines 5-10: stage `bin` columns, contract, repeat.
-            std::size_t k = 0;
-            while (k < cols.size()) {
-              const int cnt =
-                  static_cast<int>(std::min<std::size_t>(bin, cols.size() - k));
-              for (int c = 0; c < cnt; ++c) {
-                const real_t* tv =
-                    theta + static_cast<std::size_t>(cols[k + static_cast<std::size_t>(c)]) * f;
-                std::memcpy(bin_buf.data() + static_cast<std::size_t>(c) * f, tv,
+          stage_and_contract(
+              a_acc.data(), bin_buf.data(), cols.size(), f,
+              [&](real_t* slot, std::size_t k) {
+                std::memcpy(slot, theta + static_cast<std::size_t>(cols[k]) * f,
                             static_cast<std::size_t>(f) * sizeof(real_t));
-                linalg::axpy(b_local.data(), vals[k + static_cast<std::size_t>(c)],
-                             bin_buf.data() + static_cast<std::size_t>(c) * f, f);
-              }
-              if (opt.use_registers) {
-                linalg::rank1_accumulate_registers(a_acc, bin_buf.data(), cnt, f);
-              } else {
-                linalg::rank1_accumulate_global(a_acc, bin_buf.data(), cnt, f);
-              }
-              k += static_cast<std::size_t>(cnt);
-            }
-          }
+                linalg::axpy(b_acc.data(), vals[k], slot, f);
+              });
 
           // Weighted-λ: block-local count, so partial Hermitians reduce to
           // the global n_{x_u}·λ·I (eq. 5).
-          linalg::add_diagonal(a_acc, lambda * static_cast<real_t>(cols.size()), f);
-          if (opt.use_registers) {
-            // Alg. 2 line 11: one flush from registers to global memory.
-            if (accumulate) {
-              for (std::size_t e = 0; e < fsq; ++e) a_out[e] += a_acc[e];
-            } else {
-              std::memcpy(a_out, a_acc, fsq * sizeof(real_t));
-            }
-          }
+          linalg::add_diagonal(a_acc.data(),
+                               lambda * static_cast<real_t>(cols.size()), f);
+          // Alg. 2 line 11: one flush from registers to global memory.
           if (accumulate) {
-            for (int e = 0; e < f; ++e) b_out[e] += b_local[static_cast<std::size_t>(e)];
+            for (std::size_t e = 0; e < fsq; ++e) a_out[e] += a_acc[e];
+            for (int e = 0; e < f; ++e) b_out[e] += b_acc[static_cast<std::size_t>(e)];
           } else {
-            std::memcpy(b_out, b_local.data(),
+            std::memcpy(a_out, a_acc.data(), fsq * sizeof(real_t));
+            std::memcpy(b_out, b_acc.data(),
                         static_cast<std::size_t>(f) * sizeof(real_t));
           }
         }

@@ -2,22 +2,6 @@
 
 namespace cumf::linalg {
 
-void rank1_update_global(real_t* A, const real_t* theta, int f) {
-  for (int i = 0; i < f; ++i) {
-    const real_t ti = theta[i];
-    real_t* row = A + static_cast<std::size_t>(i) * f;
-    for (int j = 0; j < f; ++j) {
-      row[j] += ti * theta[j];
-    }
-  }
-}
-
-void rank1_accumulate_global(real_t* A, const real_t* thetas, int bin, int f) {
-  for (int k = 0; k < bin; ++k) {
-    rank1_update_global(A, thetas + static_cast<std::size_t>(k) * f, f);
-  }
-}
-
 namespace {
 
 // Register tile edge. 4x4 = 16 accumulators plus 8 operand registers stays

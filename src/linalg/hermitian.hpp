@@ -1,38 +1,26 @@
 #pragma once
 
-// Hermitian accumulation kernels: the inner loop of get_hermitian_x.
+// Hermitian accumulation kernel: the inner loop of get_hermitian_x.
 //
 // The paper's single biggest optimization (§3.4, Fig. 7) is where the partial
-// sum  A_u += θ_v·θ_vᵀ  lives while iterating over a row's rated columns:
-//
-//  * "global" path  — every rank-1 update does f² read-modify-writes against
-//    the A_u buffer in (simulated) global memory. This is Algorithm 1 and the
-//    use_registers=false ablation.
-//  * "register" path — a bin of columns is accumulated into fixed-size local
-//    tiles that the compiler keeps in registers (the CPU analogue of the
-//    paper's macro-expanded f² register variables, Listing 1), and A_u is
-//    touched exactly once per bin flush.
-//
-// The two paths sum in different orders (per-column vs per-tile), so results
-// agree to floating-point tolerance rather than bit-for-bit; the tests bound
-// the divergence.
+// sum  A_u += θ_v·θ_vᵀ  lives while iterating over a row's rated columns. The
+// host keeps it where Algorithm 2 does: a bin of columns is accumulated into
+// fixed-size local tiles that the compiler keeps in registers (the CPU
+// analogue of the paper's macro-expanded f² register variables, Listing 1),
+// and A_u is touched exactly once per bin flush. The Algorithm 1 and
+// use_registers=false variants exist only on the modeled axis
+// (core::hermitian_kernel_stats).
 
 #include "util/types.hpp"
 
 namespace cumf::linalg {
 
-/// A += θ·θᵀ for a single column. A is a dense row-major f×f buffer.
-/// This is the no-register baseline: f² heap read-modify-writes per column.
-void rank1_update_global(real_t* A, const real_t* theta, int f);
-
 /// A += Σ_{k<bin} θ_k·θ_kᵀ for `bin` columns stored contiguously
 /// (thetas[k*f .. k*f+f)), accumulating in register tiles and writing each
-/// A element exactly once. Tile size is fixed at compile time.
+/// A element exactly once. Tile size is fixed at compile time. Each tile
+/// sums its bin from zero in column order before adding to A, so results
+/// depend on how a caller splits its columns into bins.
 void rank1_accumulate_registers(real_t* A, const real_t* thetas, int bin, int f);
-
-/// Same contraction as rank1_accumulate_registers but accumulating straight
-/// into A per column (the use_registers=false path over a bin).
-void rank1_accumulate_global(real_t* A, const real_t* thetas, int bin, int f);
 
 /// y += alpha * x over f elements.
 inline void axpy(real_t* y, real_t alpha, const real_t* x, int f) {

@@ -123,8 +123,20 @@ void TraceCollector::record_event(const char* name, char phase, double ts_us,
   Slot& slot = ring_[ticket & mask_];
   // Seqlock write: odd tag while the payload is in flux, even when stable.
   // The exporter validates the even tag before and after copying, so a slot
-  // it races with is skipped rather than exported torn.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
+  // it races with is skipped rather than exported torn. The tag is claimed
+  // by CAS, never stored blind, so two writers never fill one slot at once:
+  // a writer descheduled between its ticket and its claim may find that the
+  // ring has wrapped past it. If a newer ticket owns the slot, this event is
+  // already overwritten and is dropped. If an older ticket is still filling
+  // it, this event is dropped and the older one stays; a writer never waits.
+  const std::uint64_t claim = 2 * ticket + 1;
+  std::uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (cur >= claim || (cur & 1) != 0) return;
+  } while (!slot.seq.compare_exchange_weak(cur, claim,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  std::atomic_thread_fence(std::memory_order_release);
   slot.name.store(name, std::memory_order_relaxed);
   slot.phase.store(static_cast<std::uint8_t>(phase), std::memory_order_relaxed);
   slot.tid.store(current_tid(), std::memory_order_relaxed);
@@ -136,7 +148,7 @@ void TraceCollector::record_event(const char* name, char phase, double ts_us,
   slot.v1.store(b.value, std::memory_order_relaxed);
   slot.k2.store(c.key, std::memory_order_relaxed);
   slot.v2.store(c.value, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+  slot.seq.store(claim + 1, std::memory_order_release);
 }
 
 void TraceCollector::set_thread_name(const char* name) {
@@ -152,12 +164,26 @@ std::uint64_t TraceCollector::events_dropped() const {
 }
 
 std::string TraceCollector::export_chrome_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Copy the bookkeeping out and scan without mu_. std::mutex is not fair,
+  // so holding it for the whole export would stall set_thread_name() for as
+  // long as exports keep coming. The ring is never freed once allocated,
+  // and the seqlock below validates every slot it reads.
+  std::unordered_map<std::uint32_t, std::string> thread_names;
+  const Slot* ring = nullptr;
+  std::size_t capacity = 0;
+  std::size_t mask = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    thread_names = thread_names_;
+    ring = ring_.get();
+    capacity = capacity_;
+    mask = mask_;
+  }
   std::string out;
   out += "{\"traceEvents\":[";
   bool first = true;
 
-  for (const auto& [tid, name] : thread_names_) {
+  for (const auto& [tid, name] : thread_names) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
@@ -167,13 +193,15 @@ std::string TraceCollector::export_chrome_json() const {
     out += "\"}}";
   }
 
-  if (ring_ != nullptr) {
+  if (ring != nullptr) {
     const std::uint64_t end = cursor_.load(std::memory_order_acquire);
-    const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
+    const std::uint64_t begin = end > capacity ? end - capacity : 0;
     for (std::uint64_t t = begin; t < end; ++t) {
-      const Slot& slot = ring_[t & mask_];
-      const std::uint64_t want = 2 * t + 2;
-      if (slot.seq.load(std::memory_order_acquire) != want) continue;
+      // A slot holds the newest event whose writer finished it, which is
+      // ticket t's unless that writer dropped its event (see record_event).
+      const Slot& slot = ring[t & mask];
+      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
+      if (seq == 0 || (seq & 1) != 0) continue;
       const char* name = slot.name.load(std::memory_order_relaxed);
       const char phase =
           static_cast<char>(slot.phase.load(std::memory_order_relaxed));
@@ -189,7 +217,7 @@ std::string TraceCollector::export_chrome_json() const {
       // Seqlock read validation (Boehm-style): the acquire fence keeps the
       // payload loads above from sinking past the re-check.
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != want) continue;
+      if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
       if (name == nullptr) continue;
 
       if (!first) out += ',';

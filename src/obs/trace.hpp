@@ -19,11 +19,12 @@
 //  - disabled must be (nearly) free: every instrumentation site is gated on
 //    one relaxed atomic load; no ring exists until the first enable().
 //  - recording must never block or allocate: span names and argument keys
-//    are static string literals, payloads are fixed-size, and writers claim
-//    slots with one fetch_add. Per-slot sequence numbers (a seqlock keyed by
-//    the 64-bit ticket) let the exporter detect and skip slots that a
-//    concurrent writer is overwriting — the ring wraps by overwriting the
-//    oldest events rather than ever making a writer wait.
+//    are static string literals, payloads are fixed-size, and writers take
+//    a ticket with one fetch_add and claim its slot with one CAS. Per-slot
+//    sequence numbers (a seqlock keyed by the 64-bit ticket) let the
+//    exporter detect and skip slots that a concurrent writer is overwriting
+//    — the ring wraps by overwriting the oldest events rather than ever
+//    making a writer wait.
 //  - everything a writer touches is a std::atomic, so concurrent record /
 //    export is free of data races (TSan-clean) by construction. A reader
 //    that loses the seqlock race simply drops that slot; the worst possible
@@ -121,8 +122,9 @@ class TraceCollector {
  private:
   struct Slot {
     /// Seqlock word: 2·ticket+1 while the owning writer fills the payload,
-    /// 2·ticket+2 once stable. The ticket keys the check, so a slot reused
-    /// by a later wrap never validates for an earlier ticket.
+    /// 2·ticket+2 once stable, 0 before the first write. The ticket keys the
+    /// word, so a reader that sees the same even value before and after its
+    /// copy cannot have raced a later wrap of the slot.
     std::atomic<std::uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};
     std::atomic<std::uint8_t> phase{0};  // 'X' span | 'i' instant
@@ -154,7 +156,8 @@ class TraceCollector {
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
 
-  mutable std::mutex mu_;  // enable/export/clear/thread-name bookkeeping
+  // enable/clear/thread-name bookkeeping; export holds it only to copy.
+  mutable std::mutex mu_;
   std::unordered_map<std::uint32_t, std::string> thread_names_;
 };
 

@@ -3,8 +3,8 @@
 // A small fixed-size thread pool plus blocking parallel_for.
 //
 // All host-side parallelism in cuMF goes through this pool: simulated GPU
-// kernels fan their thread blocks out over it, and the CPU baselines (Hogwild,
-// FPSGD, NOMAD, CCD++) use it as their worker set. Keeping one shared pool
+// kernels fan their thread blocks out over it, and the CPU baselines (FPSGD,
+// NOMAD, CCD++) use it as their worker set. Keeping one shared pool
 // avoids oversubscription when several simulated devices execute at once.
 
 #include <condition_variable>

@@ -5,7 +5,6 @@
 
 #include "baselines/ccdpp.hpp"
 #include "baselines/fpsgd.hpp"
-#include "baselines/hogwild.hpp"
 #include "baselines/nomad.hpp"
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
@@ -188,15 +187,6 @@ void expect_converged(const Run& run, double target) {
   ASSERT_GE(pts.size(), 2u);
   EXPECT_LT(pts.back().train_rmse, pts.front().train_rmse);
   EXPECT_LT(pts.back().test_rmse, target);
-}
-
-TEST(Hogwild, ConvergesOnPlantedLowRank) {
-  Problem p = make_problem();
-  HogwildSgd solver(p.train, sgd_options());
-  const BaselineRun run = solver.train(&p.train, &p.test, "hogwild");
-  expect_converged(run.history, 0.8);
-  EXPECT_DOUBLE_EQ(run.samples_processed,
-                   static_cast<double>(p.train.nnz()) * 8);
 }
 
 TEST(Fpsgd, ConvergesOnPlantedLowRank) {

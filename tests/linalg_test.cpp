@@ -24,16 +24,24 @@ std::vector<real_t> random_columns(int bin, int f, std::uint64_t seed) {
 
 class HermitianKernelTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(HermitianKernelTest, RegisterPathMatchesGlobalPath) {
+TEST_P(HermitianKernelTest, RegisterPathMatchesDoubleReference) {
   const int f = GetParam();
   for (const int bin : {1, 3, 10, 30}) {
     const auto cols = random_columns(bin, f, 100 + static_cast<unsigned>(f));
-    std::vector<real_t> a_global(static_cast<std::size_t>(f) * f, 0.0f);
-    std::vector<real_t> a_regs(a_global);
-    rank1_accumulate_global(a_global.data(), cols.data(), bin, f);
+    std::vector<double> ref(static_cast<std::size_t>(f) * f, 0.0);
+    for (int k = 0; k < bin; ++k) {
+      const real_t* col = cols.data() + static_cast<std::size_t>(k) * f;
+      for (int i = 0; i < f; ++i) {
+        for (int j = 0; j < f; ++j) {
+          ref[static_cast<std::size_t>(i) * f + j] +=
+              static_cast<double>(col[i]) * col[j];
+        }
+      }
+    }
+    std::vector<real_t> a_regs(ref.size(), 0.0f);
     rank1_accumulate_registers(a_regs.data(), cols.data(), bin, f);
-    for (std::size_t i = 0; i < a_global.size(); ++i) {
-      EXPECT_NEAR(a_global[i], a_regs[i], 1e-4f * bin)
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_NEAR(a_regs[i], ref[i], 1e-4 * bin)
           << "f=" << f << " bin=" << bin << " idx=" << i;
     }
   }
@@ -79,9 +87,13 @@ TEST(Hermitian, SingleRank1Update) {
   const int f = 3;
   const real_t theta[3] = {1.0f, 2.0f, -1.0f};
   std::vector<real_t> A(9, 0.0f);
-  rank1_update_global(A.data(), theta, f);
-  const real_t expect[9] = {1, 2, -1, 2, 4, -2, -1, -2, 1};
-  for (int i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(A[static_cast<std::size_t>(i)], expect[i]);
+  rank1_accumulate_registers(A.data(), theta, /*bin=*/1, f);
+  for (int i = 0; i < f; ++i) {
+    for (int j = 0; j < f; ++j) {
+      EXPECT_DOUBLE_EQ(A[static_cast<std::size_t>(i) * f + j],
+                       static_cast<double>(theta[i]) * theta[j]);
+    }
+  }
 }
 
 TEST(Hermitian, AxpyAndDot) {
