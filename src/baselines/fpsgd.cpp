@@ -82,22 +82,9 @@ void FpsgdSgd::run_epoch() {
     }
   };
 
-  auto& pool = util::ThreadPool::global();
-  std::mutex wait_mu;
-  std::condition_variable wait_cv;
-  int live = opt_.threads;
-  for (int t = 0; t < opt_.threads - 1; ++t) {
-    pool.submit([&] {
-      worker();
-      std::lock_guard g2(wait_mu);
-      if (--live == 1) wait_cv.notify_all();  // caller counts as the last one
-    });
-  }
-  worker();  // the caller participates so progress never stalls
-  {
-    std::unique_lock lk(wait_mu);
-    wait_cv.wait(lk, [&] { return live == 1; });
-  }
+  // One worker per chunk; the caller runs chunks too, so progress never stalls.
+  util::parallel_for_chunks(util::ThreadPool::global(), 0, opt_.threads,
+                            [&](nnz_t, nnz_t) { worker(); });
 
   samples_ += static_cast<double>(train_.nnz());
   lr_ *= opt_.lr_decay;

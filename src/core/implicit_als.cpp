@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <mutex>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -18,16 +17,29 @@ namespace cumf::core {
 void gram_kernel(gpusim::Device& dev, const real_t* theta, idx_t n, int f,
                  real_t* G) {
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
+  // One partial per fixed row slice, summed in slice order after the join:
+  // G is then bit-identical from run to run and for any pool size.
+  constexpr idx_t kSlices = 64;
+  const idx_t slices = std::clamp<idx_t>(n, 1, kSlices);
+  const idx_t rows_per_slice = (n + slices - 1) / slices;
+  std::vector<real_t> partial(static_cast<std::size_t>(slices) * fsq, 0.0f);
+  util::parallel_for_chunks(
+      util::ThreadPool::global(), 0, slices, [&](nnz_t lo, nnz_t hi) {
+        for (nnz_t sl = lo; sl < hi; ++sl) {
+          const nnz_t r0 = sl * rows_per_slice;
+          const nnz_t r1 = std::min<nnz_t>(n, r0 + rows_per_slice);
+          if (r0 >= r1) continue;
+          linalg::rank1_accumulate_registers(
+              partial.data() + static_cast<std::size_t>(sl) * fsq,
+              theta + static_cast<std::size_t>(r0) * f,
+              static_cast<int>(r1 - r0), f);
+        }
+      });
   std::memset(G, 0, fsq * sizeof(real_t));
-  std::mutex mu;
-  util::parallel_for_chunks(dev.pool(), 0, n, [&](nnz_t lo, nnz_t hi) {
-    std::vector<real_t> local(fsq, 0.0f);
-    linalg::rank1_accumulate_registers(
-        local.data(), theta + static_cast<std::size_t>(lo) * f,
-        static_cast<int>(hi - lo), f);
-    std::lock_guard lock(mu);
-    for (std::size_t e = 0; e < fsq; ++e) G[e] += local[e];
-  });
+  for (idx_t sl = 0; sl < slices; ++sl) {
+    const real_t* p = partial.data() + static_cast<std::size_t>(sl) * fsq;
+    for (std::size_t e = 0; e < fsq; ++e) G[e] += p[e];
+  }
 
   gpusim::KernelStats s;
   s.flops = static_cast<double>(n) * f * f * 2.0;
@@ -44,7 +56,8 @@ void get_hermitian_implicit(gpusim::Device& dev, const sparse::CsrMatrix& R,
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
 
   util::parallel_for_chunks(
-      dev.pool(), row_begin, row_end, [&](nnz_t lo, nnz_t hi) {
+      util::ThreadPool::global(), row_begin, row_end,
+      [&](nnz_t lo, nnz_t hi) {
         std::vector<real_t> bin_buf(static_cast<std::size_t>(kHostBin) * f);
         std::vector<real_t> a_acc(fsq);
         std::vector<real_t> b_acc(static_cast<std::size_t>(f));

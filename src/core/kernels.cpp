@@ -93,7 +93,8 @@ void get_hermitian_block(gpusim::Device& dev, const sparse::CsrMatrix& R,
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
 
   util::parallel_for_chunks(
-      dev.pool(), row_begin, row_end, [&](nnz_t lo, nnz_t hi) {
+      util::ThreadPool::global(), row_begin, row_end,
+      [&](nnz_t lo, nnz_t hi) {
         // Per-worker scratch: the "shared memory" bin and the "register"
         // accumulator tile target.
         std::vector<real_t> bin_buf(static_cast<std::size_t>(kHostBin) * f);
@@ -144,27 +145,28 @@ int batch_solve_block(gpusim::Device& dev, real_t* A, real_t* B, idx_t count,
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
   std::atomic<int> clamped{0};
 
-  util::parallel_for_chunks(dev.pool(), 0, count, [&](nnz_t lo, nnz_t hi) {
-    int local_clamped = 0;
-    for (nnz_t u = lo; u < hi; ++u) {
-      real_t* a = A + static_cast<std::size_t>(u) * fsq;
-      real_t* b = B + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
-      // A row with no ratings leaves A_u == 0: by convention x_u = 0.
-      bool empty = true;
-      for (int i = 0; i < f && empty; ++i) {
-        empty = (a[static_cast<std::size_t>(i) * f + i] == real_t{0});
-      }
-      real_t* x = x_out + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
-      if (empty) {
-        std::memset(x, 0, static_cast<std::size_t>(f) * sizeof(real_t));
-        continue;
-      }
-      const linalg::CholeskyResult res = linalg::solve_spd_inplace(a, b, f);
-      if (!res.ok) ++local_clamped;
-      std::memcpy(x, b, static_cast<std::size_t>(f) * sizeof(real_t));
-    }
-    clamped.fetch_add(local_clamped);
-  });
+  util::parallel_for_chunks(
+      util::ThreadPool::global(), 0, count, [&](nnz_t lo, nnz_t hi) {
+        int local_clamped = 0;
+        for (nnz_t u = lo; u < hi; ++u) {
+          real_t* a = A + static_cast<std::size_t>(u) * fsq;
+          real_t* b = B + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
+          // A row with no ratings leaves A_u == 0: by convention x_u = 0.
+          bool empty = true;
+          for (int i = 0; i < f && empty; ++i) {
+            empty = (a[static_cast<std::size_t>(i) * f + i] == real_t{0});
+          }
+          real_t* x = x_out + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
+          if (empty) {
+            std::memset(x, 0, static_cast<std::size_t>(f) * sizeof(real_t));
+            continue;
+          }
+          const linalg::CholeskyResult res = linalg::solve_spd_inplace(a, b, f);
+          if (!res.ok) ++local_clamped;
+          std::memcpy(x, b, static_cast<std::size_t>(f) * sizeof(real_t));
+        }
+        clamped.fetch_add(local_clamped);
+      });
 
   dev.account_kernel(solve_kernel_stats(count, f));
   return clamped.load();
@@ -193,24 +195,25 @@ std::int64_t batch_solve_block_cg(gpusim::Device& dev, const real_t* A,
   opt.max_iters = max_iters;
   opt.tolerance = tolerance;
 
-  util::parallel_for_chunks(dev.pool(), 0, count, [&](nnz_t lo, nnz_t hi) {
-    std::int64_t local = 0;
-    for (nnz_t u = lo; u < hi; ++u) {
-      const real_t* a = A + static_cast<std::size_t>(u) * fsq;
-      const real_t* b = B + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
-      real_t* x = x_inout + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
-      bool empty = true;
-      for (int i = 0; i < f && empty; ++i) {
-        empty = (a[static_cast<std::size_t>(i) * f + i] == real_t{0});
-      }
-      if (empty) {
-        std::memset(x, 0, static_cast<std::size_t>(f) * sizeof(real_t));
-        continue;
-      }
-      local += linalg::cg_solve(a, b, x, f, opt).iterations;
-    }
-    total_iters.fetch_add(local);
-  });
+  util::parallel_for_chunks(
+      util::ThreadPool::global(), 0, count, [&](nnz_t lo, nnz_t hi) {
+        std::int64_t local = 0;
+        for (nnz_t u = lo; u < hi; ++u) {
+          const real_t* a = A + static_cast<std::size_t>(u) * fsq;
+          const real_t* b = B + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
+          real_t* x = x_inout + static_cast<std::size_t>(u) * static_cast<std::size_t>(f);
+          bool empty = true;
+          for (int i = 0; i < f && empty; ++i) {
+            empty = (a[static_cast<std::size_t>(i) * f + i] == real_t{0});
+          }
+          if (empty) {
+            std::memset(x, 0, static_cast<std::size_t>(f) * sizeof(real_t));
+            continue;
+          }
+          local += linalg::cg_solve(a, b, x, f, opt).iterations;
+        }
+        total_iters.fetch_add(local);
+      });
 
   const double avg = count > 0 ? static_cast<double>(total_iters.load()) /
                                      static_cast<double>(count)

@@ -19,9 +19,8 @@ DeviceOomError::DeviceOomError(const std::string& device, bytes_t requested,
                                bytes_t used, bytes_t capacity)
     : std::runtime_error(oom_message(device, requested, used, capacity)) {}
 
-Device::Device(int id, DeviceSpec spec, int socket, util::ThreadPool* pool)
-    : id_(id), spec_(std::move(spec)), socket_(socket),
-      pool_(pool ? pool : &util::ThreadPool::global()) {}
+Device::Device(int id, DeviceSpec spec, int socket)
+    : id_(id), spec_(std::move(spec)), socket_(socket) {}
 
 void Device::charge(bytes_t bytes) {
   const bytes_t before = used_.fetch_add(bytes);

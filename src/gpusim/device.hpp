@@ -2,7 +2,7 @@
 
 // A simulated GPU device.
 //
-// Kernels are real C++ executed on the shared host thread pool; the Device
+// Kernels are real C++ executed on util::ThreadPool::global(); the Device
 // supplies three services the algorithms depend on:
 //
 //  1. capacity accounting — DeviceBuffer<T> charges the device's global
@@ -26,7 +26,6 @@
 
 #include "gpusim/counters.hpp"
 #include "gpusim/device_spec.hpp"
-#include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
 namespace cumf::gpusim {
@@ -39,13 +38,11 @@ class DeviceOomError : public std::runtime_error {
 
 class Device {
  public:
-  Device(int id, DeviceSpec spec, int socket = 0,
-         util::ThreadPool* pool = nullptr);
+  Device(int id, DeviceSpec spec, int socket = 0);
 
   [[nodiscard]] int id() const { return id_; }
   [[nodiscard]] int socket() const { return socket_; }
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  [[nodiscard]] util::ThreadPool& pool() const { return *pool_; }
 
   // -- capacity ------------------------------------------------------------
   void charge(bytes_t bytes);
@@ -79,7 +76,6 @@ class Device {
   int id_;
   DeviceSpec spec_;
   int socket_;
-  util::ThreadPool* pool_;
   std::atomic<bytes_t> used_{0};
   DeviceCounters counters_{};
   double clock_seconds_ = 0.0;

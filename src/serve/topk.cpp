@@ -10,6 +10,7 @@
 #include "serve/live_store.hpp"
 #include "serve/scoring_backend.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cumf::serve {
 
@@ -108,38 +109,38 @@ RecommendBatch TopKEngine::recommend_batch(std::span<const idx_t> users,
   // partial[block * num_shards + shard][user-in-block] = that shard's top-k.
   std::vector<std::vector<std::vector<Recommendation>>> partial(num_tasks);
 
-  util::ThreadPool& pool =
-      opt_.pool != nullptr ? *opt_.pool : util::ThreadPool::global();
-  util::parallel_for(
-      pool, 0, static_cast<nnz_t>(num_tasks),
-      [&](nnz_t task) {
-        const std::size_t t = static_cast<std::size_t>(task);
-        const std::size_t b = t / static_cast<std::size_t>(num_shards);
-        const int s =
-            static_cast<int>(t % static_cast<std::size_t>(num_shards));
-        // One span per shard×block sweep, on the worker that ran it — this
-        // is the fan-out a slow engine.batch decomposes into.
-        obs::TraceSpan sweep_span(obs::TraceCollector::global(),
-                                  "engine.sweep");
-        sweep_span.arg("shard", static_cast<std::uint64_t>(s));
-        sweep_span.arg("block", b);
-        auto& slots = partial[t];
-        SweepTask sweep;
-        sweep.store = &store;
-        sweep.users = users;
-        sweep.rated = &rated;
-        sweep.first = static_cast<int>(b * block);
-        sweep.last = static_cast<int>(std::min(n, (b + 1) * block));
-        sweep.shard = &store.shard(s);
-        sweep.k = k;
-        sweep.prune = opt_.prune;
-        sweep.exclude = opt_.exclude_rated != nullptr;
-        slots.resize(static_cast<std::size_t>(sweep.last - sweep.first));
-        for (auto& heap : slots) heap.reserve(static_cast<std::size_t>(k));
-        const SweepCounters c = backend_->sweep(sweep, slots);
-        sweep_span.arg("scored", c.scored);
-        items_scored_.fetch_add(c.scored, std::memory_order_relaxed);
-        items_pruned_.fetch_add(c.pruned, std::memory_order_relaxed);
+  util::parallel_for_chunks(
+      util::ThreadPool::global(), 0, static_cast<nnz_t>(num_tasks),
+      [&](nnz_t lo, nnz_t hi) {
+        for (auto t = static_cast<std::size_t>(lo);
+             t < static_cast<std::size_t>(hi); ++t) {
+          const std::size_t b = t / static_cast<std::size_t>(num_shards);
+          const int s =
+              static_cast<int>(t % static_cast<std::size_t>(num_shards));
+          // One span per shard×block sweep, on the worker that ran it — this
+          // is the fan-out a slow engine.batch decomposes into.
+          obs::TraceSpan sweep_span(obs::TraceCollector::global(),
+                                    "engine.sweep");
+          sweep_span.arg("shard", static_cast<std::uint64_t>(s));
+          sweep_span.arg("block", b);
+          auto& slots = partial[t];
+          SweepTask sweep;
+          sweep.store = &store;
+          sweep.users = users;
+          sweep.rated = &rated;
+          sweep.first = static_cast<int>(b * block);
+          sweep.last = static_cast<int>(std::min(n, (b + 1) * block));
+          sweep.shard = &store.shard(s);
+          sweep.k = k;
+          sweep.prune = opt_.prune;
+          sweep.exclude = opt_.exclude_rated != nullptr;
+          slots.resize(static_cast<std::size_t>(sweep.last - sweep.first));
+          for (auto& heap : slots) heap.reserve(static_cast<std::size_t>(k));
+          const SweepCounters c = backend_->sweep(sweep, slots);
+          sweep_span.arg("scored", c.scored);
+          items_scored_.fetch_add(c.scored, std::memory_order_relaxed);
+          items_pruned_.fetch_add(c.pruned, std::memory_order_relaxed);
+        }
       });
 
   // Scatter-gather merge. When the backend spreads shards across devices,

@@ -43,7 +43,6 @@
 #include "serve/factor_store.hpp"
 #include "serve/serve_stats.hpp"
 #include "sparse/csr.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cumf::serve {
 
@@ -72,8 +71,6 @@ struct TopKOptions {
   /// Training ratings (m×n CSR). When set, items a user already rated are
   /// excluded from their recommendations.
   const sparse::CsrMatrix* exclude_rated = nullptr;
-  /// Pool for the shard × block fan-out; nullptr uses ThreadPool::global().
-  util::ThreadPool* pool = nullptr;
   /// Cauchy–Schwarz norm pruning (on by default; off for A/B in benches).
   bool prune = true;
   /// Scoring backend; nullptr uses an engine-owned CpuScoringBackend. The

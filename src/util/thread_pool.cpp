@@ -31,31 +31,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mu_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    std::lock_guard lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  {
-    std::lock_guard lock(mu_);
-    --in_flight_;
-    if (in_flight_ == 0) cv_idle_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -65,39 +42,17 @@ void ThreadPool::worker_loop() {
     {
       std::unique_lock lock(mu_);
       cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // stop_ set and nothing left to run
       task = std::move(queue_.front());
       queue_.pop_front();
     }
     task();
-    {
-      std::lock_guard lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-void parallel_for(ThreadPool& pool, nnz_t begin, nnz_t end,
-                  const std::function<void(nnz_t)>& fn, nnz_t min_chunk) {
-  if (begin >= end) return;
-  const nnz_t n = end - begin;
-  const auto workers = static_cast<nnz_t>(pool.size());
-  if (workers <= 1 || n <= min_chunk) {
-    for (nnz_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  parallel_for_chunks(pool, begin, end, [&fn](nnz_t lo, nnz_t hi) {
-    for (nnz_t i = lo; i < hi; ++i) fn(i);
-  });
 }
 
 void parallel_for_chunks(ThreadPool& pool, nnz_t begin, nnz_t end,
@@ -112,15 +67,21 @@ void parallel_for_chunks(ThreadPool& pool, nnz_t begin, nnz_t end,
     return;
   }
 
-  // Work-stealing style: caller and helpers all pull chunk ids from a shared
-  // counter. The caller participates, so progress is guaranteed even when
-  // every pool worker is itself blocked inside a nested parallel_for.
+  // Caller and helpers pull chunk ids from one counter. A helper joins
+  // `active` before it claims, so once the caller has drained the counter it
+  // need wait only for helpers already holding a chunk (see the header).
+  struct Join {
+    std::atomic<std::size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t active = 0;
+  };
   const nnz_t chunk = (n + static_cast<nnz_t>(num_chunks) - 1) /
                       static_cast<nnz_t>(num_chunks);
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
+  auto join = std::make_shared<Join>();
   auto run_chunks = [=, &fn] {
     for (;;) {
-      const std::size_t c = next->fetch_add(1);
+      const std::size_t c = join->next.fetch_add(1);
       if (c >= num_chunks) return;
       const nnz_t lo = begin + static_cast<nnz_t>(c) * chunk;
       const nnz_t hi = std::min(end, lo + chunk);
@@ -129,21 +90,20 @@ void parallel_for_chunks(ThreadPool& pool, nnz_t begin, nnz_t end,
   };
 
   const std::size_t helpers = std::min(pool.size(), num_chunks - 1);
-  std::atomic<std::size_t> live_helpers{helpers};
   for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([&live_helpers, run_chunks] {
+    pool.submit([join, run_chunks] {
+      {
+        std::lock_guard lock(join->mu);
+        ++join->active;
+      }
       run_chunks();
-      live_helpers.fetch_sub(1, std::memory_order_acq_rel);
+      std::lock_guard lock(join->mu);
+      if (--join->active == 0) join->cv.notify_one();
     });
   }
   run_chunks();
-  // Wait for the helpers — but keep draining the pool's queue meanwhile.
-  // If every pool worker is itself blocked inside a nested parallel_for,
-  // their queued helpers can only make progress on waiting threads; without
-  // this, nested parallelism deadlocks.
-  while (live_helpers.load(std::memory_order_acquire) != 0) {
-    if (!pool.try_run_one()) std::this_thread::yield();
-  }
+  std::unique_lock lock(join->mu);
+  join->cv.wait(lock, [&join] { return join->active == 0; });
 }
 
 }  // namespace cumf::util

@@ -1,11 +1,19 @@
 #pragma once
 
-// A small fixed-size thread pool plus blocking parallel_for.
+// A small fixed-size thread pool and its one fork-join, parallel_for_chunks.
 //
-// All host-side parallelism in cuMF goes through this pool: simulated GPU
-// kernels fan their thread blocks out over it, and the CPU baselines (FPSGD,
-// NOMAD, CCD++) use it as their worker set. Keeping one shared pool
-// avoids oversubscription when several simulated devices execute at once.
+// Host-side parallelism in cuMF goes through this pool: simulated GPU
+// kernels fan their thread blocks out over it, the serving engine fans its
+// shard × user-block sweeps out over it, and the FPSGD and CCD++ baselines
+// use it as their worker set. NOMAD runs dedicated threads instead (see
+// baselines/nomad.cpp). Keeping one shared pool avoids oversubscription when
+// several simulated devices execute at once.
+//
+// Wait rule: the caller of parallel_for_chunks runs chunks itself and then
+// waits only for helpers that have started — never for a task still queued.
+// A helper dequeued after every chunk was claimed claims nothing and never
+// calls fn. So a caller never runs another job's work, and nested or
+// concurrent calls cannot deadlock even when every pool worker is blocked.
 
 #include <condition_variable>
 #include <cstddef>
@@ -30,41 +38,29 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; returns immediately.
-  void submit(std::function<void()> task);
-
-  /// Runs one queued task on the calling thread if any is pending. Returns
-  /// false when the queue was empty. Lets blocked waiters help drain the
-  /// queue, which is what makes nested parallel_for deadlock-free.
-  bool try_run_one();
-
-  /// Block until every task submitted so far has finished.
-  void wait_idle();
-
   /// Process-wide default pool (hardware concurrency).
   static ThreadPool& global();
 
  private:
+  friend void parallel_for_chunks(ThreadPool&, nnz_t, nnz_t,
+                                  const std::function<void(nnz_t, nnz_t)>&,
+                                  std::size_t);
+
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 
-/// Run fn(i) for i in [begin, end), blocking until done. Splits the range into
-/// chunks of at least `min_chunk`; degenerates to a serial loop for tiny
-/// ranges or a single-thread pool.
-void parallel_for(ThreadPool& pool, nnz_t begin, nnz_t end,
-                  const std::function<void(nnz_t)>& fn, nnz_t min_chunk = 1);
-
-/// Chunked variant: fn(chunk_begin, chunk_end) per worker chunk. This is the
-/// primitive the simulated-kernel layer uses (a chunk ~ a wave of thread
-/// blocks).
+/// Run fn(chunk_begin, chunk_end) over [begin, end) split into `num_chunks`
+/// contiguous chunks (0 picks 4 per pool thread), blocking until every chunk
+/// has run. The caller and up to size() helpers pull chunks from a shared
+/// counter (a chunk ~ a wave of thread blocks). Degenerates to one serial
+/// fn(begin, end) for a single chunk or a single-thread pool.
 void parallel_for_chunks(ThreadPool& pool, nnz_t begin, nnz_t end,
                          const std::function<void(nnz_t, nnz_t)>& fn,
                          std::size_t num_chunks = 0);

@@ -887,6 +887,24 @@ TEST(ImplicitAls, GramMatchesBruteForce) {
   }
 }
 
+// Partial Grams must reduce in a fixed order, not in chunk finish order, or
+// implicit-ALS factors change bit for bit from run to run.
+TEST(ImplicitAls, GramIsBitReproducible) {
+  const int f = 32;
+  const idx_t n = 100000;
+  const auto theta = random_theta(n, f, 930);
+  Device dev(0, gpusim::titan_x());
+  const std::size_t fsq = static_cast<std::size_t>(f) * f;
+  std::vector<real_t> first(fsq);
+  std::vector<real_t> G(fsq);
+  gram_kernel(dev, theta.data(), n, f, first.data());
+  for (int call = 0; call < 10; ++call) {
+    gram_kernel(dev, theta.data(), n, f, G.data());
+    ASSERT_EQ(std::memcmp(G.data(), first.data(), fsq * sizeof(real_t)), 0)
+        << "call " << call;
+  }
+}
+
 TEST(ImplicitAls, HermitianMatchesBruteForce) {
   const int f = 6;
   const real_t lambda = 0.1f;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/binary_io.hpp"
@@ -103,22 +108,14 @@ TEST(Rng, SplitStreamsAreIndependent) {
 
 // --------------------------------------------------------- ThreadPool ------
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  util::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   util::ThreadPool pool(4);
   constexpr nnz_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  util::parallel_for(pool, 0, kN, [&hits](nnz_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  util::parallel_for_chunks(pool, 0, kN, [&hits](nnz_t lo, nnz_t hi) {
+    for (nnz_t i = lo; i < hi; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
@@ -126,7 +123,7 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   util::ThreadPool pool(2);
   bool ran = false;
-  util::parallel_for(pool, 5, 5, [&ran](nnz_t) { ran = true; });
+  util::parallel_for_chunks(pool, 5, 5, [&ran](nnz_t, nnz_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
@@ -154,6 +151,93 @@ TEST(ThreadPool, ChunksPartitionRange) {
   nnz_t expect = 0;
   for (nnz_t i = 100; i < 1100; ++i) expect += i;
   EXPECT_EQ(sum.load(), expect);
+}
+
+// Starts a job of pool.size() + 1 chunks on its own thread and returns once
+// every chunk has started: each pool worker, and that thread, then blocks in
+// a chunk until `gate` opens.
+std::thread occupy_pool(util::ThreadPool& pool, std::shared_future<void> gate) {
+  const std::size_t chunks = pool.size() + 1;
+  auto started = std::make_shared<std::atomic<std::size_t>>(0);
+  std::thread t([&pool, gate, started, chunks] {
+    util::parallel_for_chunks(
+        pool, 0, static_cast<nnz_t>(chunks),
+        [&](nnz_t, nnz_t) {
+          started->fetch_add(1);
+          gate.wait();
+        },
+        chunks);
+  });
+  while (started->load() < chunks) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return t;
+}
+
+// A caller waits only for its own started helpers: it must never pick up
+// another job's queued helper and block inside that job's chunk.
+TEST(ThreadPool, CallerNeverRunsAnotherJobsChunks) {
+  util::ThreadPool pool(2);
+  std::promise<void> open_c;
+  std::thread c = occupy_pool(pool, open_c.get_future().share());
+
+  // Job A: its caller blocks in chunk 0; its helper stays queued behind the
+  // blocked workers, and the chunk it would claim blocks too.
+  std::promise<void> open_a;
+  const std::shared_future<void> gate_a = open_a.get_future().share();
+  std::atomic<int> a_chunks{0};
+  std::thread a([&] {
+    util::parallel_for_chunks(pool, 0, 2, [&](nnz_t, nnz_t) {
+      a_chunks.fetch_add(1);
+      gate_a.wait();
+    });
+  });
+  while (a_chunks.load() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Job B: quick chunks from a third thread; its helpers queue behind A's.
+  std::atomic<nnz_t> b_covered{0};
+  std::promise<void> b_done;
+  std::future<void> b_returned = b_done.get_future();
+  std::thread b([&] {
+    util::parallel_for_chunks(pool, 0, 4, [&](nnz_t lo, nnz_t hi) {
+      b_covered.fetch_add(hi - lo);
+    });
+    b_done.set_value();
+  });
+  const bool b_in_time = b_returned.wait_for(std::chrono::seconds(2)) ==
+                         std::future_status::ready;
+
+  open_c.set_value();
+  open_a.set_value();
+  b.join();
+  a.join();
+  c.join();
+  EXPECT_TRUE(b_in_time) << "job B's caller blocked behind job A";
+  EXPECT_EQ(b_covered.load(), 4);
+  EXPECT_EQ(a_chunks.load(), 2);
+}
+
+// A helper dequeued after its caller returned claims no chunk, so it never
+// calls fn (whose captures may be gone by then).
+TEST(ThreadPool, LateHelperNeverCallsFn) {
+  std::atomic<int> calls{0};
+  const std::function<void(nnz_t, nnz_t)> count = [&calls](nnz_t, nnz_t) {
+    calls.fetch_add(1);
+  };
+  {
+    util::ThreadPool pool(2);
+    std::promise<void> open;
+    std::thread c = occupy_pool(pool, open.get_future().share());
+    // Both helpers queue behind the blocked workers, so the caller runs all
+    // eight chunks itself and returns.
+    util::parallel_for_chunks(pool, 0, 8, count, 8);
+    EXPECT_EQ(calls.load(), 8);
+    open.set_value();
+    c.join();
+  }  // ~ThreadPool runs the two late helpers before joining its workers.
+  EXPECT_EQ(calls.load(), 8);
 }
 
 // ---------------------------------------------------------- binary io ------
